@@ -9,13 +9,6 @@ verifies the reproduction.
 import pytest
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--full-fig15", action="store_true", default=False,
-        help="include the large solver in the fig15 benchmark "
-             "(slower)")
-
-
 @pytest.fixture(scope="session")
 def fig14_workload():
     from repro.experiments.fig14 import make_workload

@@ -21,7 +21,7 @@ import pytest
 
 from _timing import best_of, make_vectors
 from repro.batch import (accelerate_engine, accumulate_batch, dot_batch,
-                         fma_batch, kernel_for, vector_available)
+                         fma_batch, kernel_for)
 from repro.fma import (CSFmaEngine, FcsFmaUnit, PcsFmaUnit,
                        run_recurrence)
 from repro.fma.accumulator import PcsAccumulator
@@ -118,8 +118,6 @@ class TestVectorDotThroughput:
 
     @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)
     def test_vector_speedup_gate(self, unit):
-        if not vector_available():     # pragma: no cover - numpy baked in
-            pytest.skip("NumPy vector engine unavailable")
         import numpy as np
 
         from repro.batch import vector_kernel_for

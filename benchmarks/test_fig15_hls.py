@@ -8,10 +8,8 @@ from repro.solvers import generate_kernel, trajectory_problem
 
 
 class TestFig15:
-    def test_regenerate_fig15_small_medium(self, benchmark, request):
-        sizes = [("small", 4, 1), ("medium", 8, 2)]
-        if request.config.getoption("--full-fig15"):
-            sizes.append(("large", 12, 3))
+    def test_regenerate_fig15(self, benchmark):
+        sizes = [("small", 4, 1), ("medium", 8, 2), ("large", 12, 3)]
         rows = benchmark.pedantic(run, args=(sizes,), rounds=1,
                                   iterations=1)
         for r in rows:

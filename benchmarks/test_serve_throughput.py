@@ -122,10 +122,6 @@ class TestDotBackendUplift:
         """Coalesced dot bursts through the vector backend vs the same
         server pinned to the tuple kernels: identical responses, and the
         measured uplift is archived to ``BENCH_serve.json``."""
-        from repro.batch import vector_available
-
-        if not vector_available():     # pragma: no cover - numpy baked in
-            pytest.skip("NumPy vector engine unavailable")
         spec = LoadSpec(n_requests=N_BURST, seed=23,
                         mix=(("dot", "pcs", 1),), vec_len=(64, 128),
                         timeout_s=None)

@@ -25,7 +25,7 @@ from .diagnostics import RULES, Diagnostic, Report, Rule, Severity
 from .format_flow import verify_format_flow
 from .netlist_lint import lint_design, lint_library
 from .reporters import render_json, render_rules, render_text
-from .schedule_check import check_schedule
+from .schedule_check import ScheduleCheckError, check_schedule, require_clean
 from .targets import (analyze_all, graph_targets, netlist_targets,
                       target_names)
 from .violations import (SeededViolation, ViolationResult,
@@ -34,7 +34,7 @@ from .violations import (SeededViolation, ViolationResult,
 __all__ = [
     "Severity", "Rule", "RULES", "Diagnostic", "Report",
     "verify_format_flow", "lint_design", "lint_library",
-    "check_schedule",
+    "check_schedule", "require_clean", "ScheduleCheckError",
     "analyze_all", "graph_targets", "netlist_targets", "target_names",
     "SeededViolation", "ViolationResult", "all_violations",
     "run_detection_suite",

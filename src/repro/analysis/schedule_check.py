@@ -13,7 +13,21 @@ from __future__ import annotations
 from ..hls.schedule import Schedule
 from .diagnostics import Report
 
-__all__ = ["check_schedule"]
+__all__ = ["check_schedule", "require_clean", "ScheduleCheckError"]
+
+
+class ScheduleCheckError(RuntimeError):
+    """A driver's schedule failed :func:`check_schedule`.
+
+    The offending diagnostics ride along in :attr:`report`, as with
+    :class:`~repro.hls.fma_pass.FmaPassVerificationError`.
+    """
+
+    def __init__(self, report: Report) -> None:
+        lines = [d.format() for d in report.diagnostics]
+        super().__init__("schedule failed validation:\n  "
+                         + "\n  ".join(lines))
+        self.report = report
 
 
 def check_schedule(schedule: Schedule,
@@ -28,6 +42,7 @@ def check_schedule(schedule: Schedule,
         return report
 
     start = schedule.start
+    lat = library.latencies(graph)
     # SCH002 -- the schedule must cover exactly the graph's node set
     for nid in graph.nodes:
         if nid not in start:
@@ -52,7 +67,7 @@ def check_schedule(schedule: Schedule,
         for op in node.operands:
             if op not in start or op not in graph.nodes:
                 continue        # reported as SCH002/CS001 already
-            ready = start[op] + library.latency(graph.nodes[op])
+            ready = start[op] + lat[op]
             if t < ready:
                 report.emit(
                     "SCH001",
@@ -72,3 +87,12 @@ def check_schedule(schedule: Schedule,
                         f"{n} {res!r} operations issue in cycle {t}, "
                         f"pool admits {limit}", f"cycle {t}")
     return report
+
+
+def require_clean(schedule: Schedule, target: str = "schedule") -> Schedule:
+    """Gate on :func:`check_schedule`: return ``schedule`` unchanged,
+    or raise :class:`ScheduleCheckError` on any diagnostic."""
+    report = check_schedule(schedule, target)
+    if not report.clean:
+        raise ScheduleCheckError(report)
+    return schedule

@@ -112,7 +112,7 @@ def _cs_to_output(device: FpgaDevice) -> Report:
     """Route the raw FMA result straight to an OUTPUT node."""
     g, ids = _fused_chain()
     # bypass every IEEE consumer: the output reads the CS word itself
-    g.nodes[ids["out"]].operands = [ids["fma"]]
+    g.set_operands(ids["out"], [ids["fma"]])
     g.prune_dead()
     return verify_format_flow(g, target="seed:cs-to-output")
 
@@ -120,8 +120,8 @@ def _cs_to_output(device: FpgaDevice) -> Report:
 def _swapped_fma_ports(device: FpgaDevice) -> Report:
     """Swap the FMA's A (CS) and B (IEEE) operand ports."""
     g, ids = _fused_chain()
-    fma = g.nodes[ids["fma"]]
-    fma.operands[0], fma.operands[1] = fma.operands[1], fma.operands[0]
+    a_cs, b, c_cs = g.nodes[ids["fma"]].operands
+    g.set_operands(ids["fma"], [b, a_cs, c_cs])
     return verify_format_flow(g, target="seed:swapped-fma-ports")
 
 
@@ -136,7 +136,7 @@ def _dangling_operand(device: FpgaDevice) -> Report:
     m = g.add_op(OpKind.MUL, a, b)
     s = g.add_op(OpKind.ADD, m, a)
     g.add_output(s, "y")
-    g.nodes[s].operands[1] = 9999
+    g.set_operands(s, [m, 9999])
     return verify_format_flow(g, target="seed:dangling-operand")
 
 
@@ -149,7 +149,7 @@ def _graph_cycle(device: FpgaDevice) -> Report:
     m = g.add_op(OpKind.MUL, a, b)
     s = g.add_op(OpKind.ADD, m, a)
     g.add_output(s, "y")
-    g.nodes[m].operands[0] = s
+    g.set_operands(m, [s, b])
     return verify_format_flow(g, target="seed:graph-cycle")
 
 

@@ -28,7 +28,7 @@ from .api import accumulate_batch, dot_batch, fma_batch
 from .cskernel import FastCSKernel, bit_positions, kernel_for
 from .engines import (BACKENDS, FastCSFmaEngine, FastDiscreteMulAddEngine,
                       FastFusedIeeeEngine, accelerate_engine,
-                      resolve_backend, vector_available)
+                      resolve_backend)
 from .ieee_fast import (as_format_fast, fp_add_fast, fp_fma_fast,
                         fp_mul_fast, round_to_format)
 from .memo import clear_hw_caches, hw_cache_info
@@ -39,7 +39,7 @@ __all__ = [
     "fma_batch", "dot_batch", "accumulate_batch",
     "accelerate_engine", "FastCSFmaEngine", "FastDiscreteMulAddEngine",
     "FastFusedIeeeEngine", "FastCSKernel", "kernel_for", "bit_positions",
-    "BACKENDS", "resolve_backend", "vector_available",
+    "BACKENDS", "resolve_backend",
     "VectorCSKernel", "vector_kernel_for", "clear_vector_cache",
     "fp_add_fast", "fp_mul_fast", "fp_fma_fast", "as_format_fast",
     "round_to_format",

@@ -28,7 +28,7 @@ from .ieee_fast import as_format_fast, fp_add_fast, fp_fma_fast, fp_mul_fast
 __all__ = ["FastCSFmaEngine", "FastDiscreteMulAddEngine",
            "FastFusedIeeeEngine", "accelerate_engine",
            "BACKENDS", "BACKEND_ENV", "requested_backend",
-           "resolve_backend", "vector_available"]
+           "resolve_backend"]
 
 # ---------------------------------------------------------------------------
 # Backend dispatch
@@ -39,27 +39,18 @@ __all__ = ["FastCSFmaEngine", "FastDiscreteMulAddEngine",
 # ``tuple``      the scalar fast kernels (:class:`FastCSKernel` tuples,
 #                integer IEEE kernels) -- always available;
 # ``vector``     the NumPy lane engine (:mod:`repro.batch.vector`) --
-#                whole batches as ``uint64`` column arrays; requires
-#                NumPy and defers armed/special lanes to ``tuple``.
+#                whole batches as ``uint64`` column arrays; defers
+#                armed/special lanes to ``tuple``.
 #
-# ``auto`` resolves to ``vector`` when NumPy is importable and to
-# ``tuple`` otherwise.  The env var ``REPRO_BATCH_BACKEND`` overrides
-# the default wherever a caller did not pin an explicit backend.
+# ``auto`` resolves to ``vector``.  The env var ``REPRO_BATCH_BACKEND``
+# overrides the default wherever a caller did not pin an explicit
+# backend.
 
 #: recognised backend names, in resolution-priority order.
 BACKENDS = ("auto", "vector", "tuple", "faithful")
 
 #: environment override consulted when no explicit backend is passed.
 BACKEND_ENV = "REPRO_BATCH_BACKEND"
-
-
-def vector_available() -> bool:
-    """True when the NumPy vector engine can be used in this process."""
-    try:
-        from .vector import HAVE_NUMPY
-    except ImportError:  # pragma: no cover - numpy missing entirely
-        return False
-    return HAVE_NUMPY
 
 
 def requested_backend(backend: "str | None" = None) -> str:
@@ -83,16 +74,11 @@ def resolve_backend(backend: "str | None" = None) -> str:
     """Resolve a backend request to a concrete engine name.
 
     ``None`` consults :data:`BACKEND_ENV`, then falls back to ``auto``;
-    ``auto`` picks ``vector`` when available, else ``tuple``.  The
-    return value is always one of ``vector``/``tuple``/``faithful``.
+    ``auto`` picks ``vector``.  The return value is always one of
+    ``vector``/``tuple``/``faithful``.
     """
     backend = requested_backend(backend)
-    if backend == "auto":
-        backend = "vector" if vector_available() else "tuple"
-    elif backend == "vector" and not vector_available():
-        raise ValueError("vector backend requested but NumPy is "
-                         "unavailable in this process")
-    return backend
+    return "vector" if backend == "auto" else backend
 
 
 class FastCSFmaEngine(FmaEngine):

@@ -41,29 +41,21 @@ from __future__ import annotations
 import threading
 from types import SimpleNamespace
 
+import numpy as np
+
 from ..fp.formats import BINARY64
 from ..fp.value import FpClass, FPValue
 from ..telemetry import core as _tm
 from .cskernel import (CS_INF, CS_NAN, CS_NORMAL, CS_ZERO, FastCSKernel,
                        bit_positions, kernel_for)
 
-try:  # soft dependency: the dispatch layer degrades to the tuple kernel
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    np = None
-
-__all__ = ["HAVE_NUMPY", "VectorCSKernel", "vector_kernel_for",
-           "clear_vector_cache"]
-
-HAVE_NUMPY = np is not None
+__all__ = ["VectorCSKernel", "vector_kernel_for", "clear_vector_cache"]
 
 _VECTORS: dict[int, "VectorCSKernel"] = {}
 
 
 def vector_kernel_for(unit) -> "VectorCSKernel | None":
-    """Vector kernel matching ``unit`` or ``None`` (strict / no numpy)."""
-    if not HAVE_NUMPY:
-        return None
+    """Vector kernel matching ``unit`` or ``None`` (strict units)."""
     kernel = kernel_for(unit)
     if kernel is None:
         return None
@@ -80,26 +72,25 @@ def clear_vector_cache() -> None:
     _VECTORS.clear()
 
 
-if HAVE_NUMPY:
-    _U64 = np.uint64
-    _ONE = np.uint64(1)
-    _U63 = np.uint64(63)
-    _M28 = np.uint64((1 << 28) - 1)
+_U64 = np.uint64
+_ONE = np.uint64(1)
+_U63 = np.uint64(63)
+_M28 = np.uint64((1 << 28) - 1)
 
-    if hasattr(np, "bitwise_count"):
-        def _popcount(a):
-            return np.bitwise_count(a).astype(np.int64)
-    else:  # pragma: no cover - numpy < 2.0
-        def _popcount(a):
-            a = a.astype(np.uint64)
-            m1 = np.uint64(0x5555555555555555)
-            m2 = np.uint64(0x3333333333333333)
-            m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-            h = np.uint64(0x0101010101010101)
-            a = a - ((a >> _ONE) & m1)
-            a = (a & m2) + ((a >> np.uint64(2)) & m2)
-            a = (a + (a >> np.uint64(4))) & m4
-            return ((a * h) >> np.uint64(56)).astype(np.int64)
+if hasattr(np, "bitwise_count"):
+    def _popcount(a):
+        return np.bitwise_count(a).astype(np.int64)
+else:  # pragma: no cover - numpy < 2.0
+    def _popcount(a):
+        a = a.astype(np.uint64)
+        m1 = np.uint64(0x5555555555555555)
+        m2 = np.uint64(0x3333333333333333)
+        m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+        h = np.uint64(0x0101010101010101)
+        a = a - ((a >> _ONE) & m1)
+        a = (a & m2) + ((a >> np.uint64(2)) & m2)
+        a = (a + (a >> np.uint64(4))) & m4
+        return ((a * h) >> np.uint64(56)).astype(np.int64)
 
 
 class VectorCSKernel:
@@ -113,8 +104,6 @@ class VectorCSKernel:
     """
 
     def __init__(self, kernel: FastCSKernel):
-        if np is None:  # pragma: no cover
-            raise RuntimeError("numpy is required for the vector backend")
         self.kernel = kernel
         p = kernel.params
         self.BB = BB = kernel.block

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .ir import CDFG
 from .operators import OperatorLibrary
-from .schedule import alap_schedule, asap_schedule
+from .schedule import Schedule, alap_schedule, asap_schedule
 
 __all__ = ["critical_path_length", "node_slack", "critical_nodes",
            "longest_path_nodes"]
@@ -20,9 +20,14 @@ def critical_path_length(graph: CDFG, library: OperatorLibrary) -> int:
     return asap_schedule(graph, library).length
 
 
-def node_slack(graph: CDFG, library: OperatorLibrary) -> dict[int, int]:
-    """Slack per node: 0 means the node is on a critical path."""
-    asap = asap_schedule(graph, library)
+def node_slack(graph: CDFG, library: OperatorLibrary,
+               asap: Schedule | None = None) -> dict[int, int]:
+    """Slack per node: 0 means the node is on a critical path.
+
+    ``asap`` reuses an ASAP schedule already computed on the unchanged
+    graph."""
+    if asap is None:
+        asap = asap_schedule(graph, library)
     alap = alap_schedule(graph, library, asap.length)
     return {nid: alap.start[nid] - asap.start[nid] for nid in graph.nodes}
 

@@ -149,8 +149,7 @@ def _replace_pair(graph: CDFG, library: OperatorLibrary, add_id: int,
                        name=add_node.name or "fma", negate_b=negate_b)
     out = graph.add_op(OpKind.C2I, fma)
 
-    consumers = {cid for cid, _ in graph.consumers(add_id)}
-    graph.rewire(add_id, out, only=consumers)
+    graph.rewire(add_id, out)
     graph.remove(add_id)
     graph.remove(mul_id)
     return fma
@@ -174,14 +173,10 @@ def _remove_redundant_converters(graph: CDFG) -> int:
                 removed += 1
                 changed = True
         # dead C2I nodes (their only consumers were removed I2Cs)
-        fanout: dict[int, int] = {nid: 0 for nid in graph.nodes}
-        for n in graph.nodes.values():
-            for op in n.operands:
-                fanout[op] += 1
         for nid in list(graph.nodes):
             node = graph.nodes.get(nid)
             if node is not None and node.kind is OpKind.C2I and \
-                    fanout[nid] == 0:
+                    not graph.successors(nid):
                 graph.remove(nid)
                 removed += 1
                 changed = True
@@ -200,20 +195,18 @@ def run_fma_insertion(graph: CDFG, library: OperatorLibrary,
     a violation raises :class:`FmaPassVerificationError` -- the pass
     never hands a malformed datapath to the scheduler or simulator.
     """
-    report = FmaPassReport(
-        baseline_length=asap_schedule(graph, library).length,
-        final_length=0,
-    )
+    # one ASAP and one ALAP per round: the slack picks the pairs, the
+    # ASAP finish times order each multiplier's operands
+    asap = asap_schedule(graph, library)
+    report = FmaPassReport(baseline_length=asap.length, final_length=0)
     for _ in range(max_rounds):
-        slack = node_slack(graph, library)
+        slack = node_slack(graph, library, asap)
         pairs = _find_critical_pairs(graph, slack, slack_threshold)
         if not pairs:
             break
         report.iterations += 1
         inserted = 0
-        round_asap = asap_schedule(graph, library)
-        ready_at = {nid: round_asap.finish(nid)
-                    for nid in round_asap.start}
+        ready_at = asap.finish_times()
         for add_id, mul_id, mul_port in pairs:
             # earlier replacements in this round may have consumed nodes
             if add_id not in graph.nodes or mul_id not in graph.nodes:
@@ -229,6 +222,7 @@ def run_fma_insertion(graph: CDFG, library: OperatorLibrary,
         report.fma_per_round.append(inserted)
         report.converters_removed += _remove_redundant_converters(graph)
         graph.prune_dead()
+        asap = asap_schedule(graph, library)
         if inserted == 0:  # pragma: no cover - defensive
             break
     # mandatory post-pass self-check: prove the Fig. 12 invariant on
@@ -239,5 +233,5 @@ def run_fma_insertion(graph: CDFG, library: OperatorLibrary,
     verification = verify_format_flow(graph, target="fma-pass")
     if not verification.ok:
         raise FmaPassVerificationError(verification)
-    report.final_length = asap_schedule(graph, library).length
+    report.final_length = asap.length
     return report

@@ -17,7 +17,8 @@ removing redundant converter pairs matters.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 __all__ = ["OpKind", "ValueType", "Node", "CDFG", "PortTypeError"]
 
@@ -85,17 +86,28 @@ _RESULT_TYPES: dict[OpKind, ValueType] = {
 class Node:
     """One CDFG operation.
 
-    ``operands`` are node ids in port order.  ``negate_b`` on FMA nodes
-    flips the sign of the ``B`` port (how the pass absorbs a ``SUB``:
-    ``a - b*c == a + (-b)*c``; the sign flip is free in IEEE format).
+    ``operands`` are node ids in port order.  The owning :class:`CDFG`
+    indexes every edge, so edges change only through CDFG methods
+    (``rewire``, ``set_operands``, ...): ``operands`` is a tuple, and
+    assigning the attribute once the node exists raises
+    ``AttributeError``.  ``negate_b`` on FMA nodes flips the sign of the
+    ``B`` port (how the pass absorbs a ``SUB``: ``a - b*c == a +
+    (-b)*c``; the sign flip is free in IEEE format).
     """
 
     id: int
     kind: OpKind
-    operands: list[int] = field(default_factory=list)
+    operands: tuple[int, ...] = ()
     name: str = ""
     value: float | None = None      # for CONST nodes
     negate_b: bool = False          # for FMA nodes
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "operands" and "operands" in self.__dict__:
+            raise AttributeError(
+                "Node.operands is owned by the graph's use index; "
+                "change edges with CDFG.set_operands or CDFG.rewire")
+        object.__setattr__(self, name, value)
 
     @property
     def result_type(self) -> ValueType:
@@ -103,11 +115,21 @@ class Node:
 
 
 class CDFG:
-    """A datapath graph: nodes, data edges, and structural queries."""
+    """A datapath graph: nodes, data edges, and structural queries.
+
+    The graph owns two derived structures, kept current by every
+    mutating method: a use index (producer id -> the consumer id of
+    every port reading it, so ``y = x + x`` lists ``y`` twice under
+    ``x``) that makes edge queries cost O(degree), and the topological
+    order, cached until the next mutation.  Node ids are allocated in
+    increasing order, so ascending id is the order of ``nodes``.
+    """
 
     def __init__(self) -> None:
         self.nodes: dict[int, Node] = {}
         self._next_id = 0
+        self._uses: dict[int, list[int]] = {}
+        self._order: list[int] | None = None
 
     # -- construction ----------------------------------------------------
 
@@ -140,8 +162,9 @@ class CDFG:
                     f"{got.value}")
         nid = self._next_id
         self._next_id += 1
-        self.nodes[nid] = Node(nid, kind, list(operands), name, value,
-                               negate_b)
+        self.nodes[nid] = Node(nid, kind, (), name, value, negate_b)
+        self._uses.setdefault(nid, [])
+        self.set_operands(nid, operands)
         return nid
 
     def add_input(self, name: str) -> int:
@@ -165,16 +188,14 @@ class CDFG:
         return list(self.nodes[nid].operands)
 
     def successors(self, nid: int) -> list[int]:
-        return [n.id for n in self.nodes.values() if nid in n.operands]
+        """Distinct consumers of ``nid``, in ascending id order."""
+        return sorted(set(self._uses.get(nid, ())))
 
     def consumers(self, nid: int) -> list[tuple[int, int]]:
         """(consumer id, port index) pairs reading ``nid``."""
-        out = []
-        for n in self.nodes.values():
-            for port, op in enumerate(n.operands):
-                if op == nid:
-                    out.append((n.id, port))
-        return out
+        return [(cid, port) for cid in self.successors(nid)
+                for port, op in enumerate(self.nodes[cid].operands)
+                if op == nid]
 
     def inputs(self) -> list[int]:
         return [n.id for n in self.nodes.values()
@@ -185,25 +206,33 @@ class CDFG:
                 if n.kind is OpKind.OUTPUT]
 
     def topological_order(self) -> list[int]:
-        """Topologically sorted node ids; raises on cycles."""
-        indeg = {nid: 0 for nid in self.nodes}
-        succs: dict[int, list[int]] = {nid: [] for nid in self.nodes}
-        for n in self.nodes.values():
-            for op in n.operands:
-                succs[op].append(n.id)
-                indeg[n.id] += 1
-        ready = sorted(nid for nid, d in indeg.items() if d == 0)
-        order: list[int] = []
-        while ready:
-            nid = ready.pop(0)
-            order.append(nid)
-            for s in succs[nid]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    ready.append(s)
-        if len(order) != len(self.nodes):
-            raise ValueError("CDFG contains a cycle")
-        return order
+        """Topologically sorted node ids; raises on cycles.
+
+        Kahn's algorithm seeded with the sources in ascending id order,
+        first-in first-out.  The order is cached until the next
+        mutation (the pass and both schedulers ask for it each round).
+        """
+        if self._order is None:
+            indeg = {nid: 0 for nid in self.nodes}
+            succs: dict[int, list[int]] = {nid: [] for nid in self.nodes}
+            for n in self.nodes.values():
+                for op in n.operands:
+                    succs[op].append(n.id)
+                    indeg[n.id] += 1
+            ready = deque(sorted(nid for nid, d in indeg.items()
+                                 if d == 0))
+            order: list[int] = []
+            while ready:
+                nid = ready.popleft()
+                order.append(nid)
+                for s in succs[nid]:
+                    indeg[s] -= 1
+                    if indeg[s] == 0:
+                        ready.append(s)
+            if len(order) != len(self.nodes):
+                raise ValueError("CDFG contains a cycle")
+            self._order = order
+        return list(self._order)
 
     def validate(self) -> None:
         """Check structural invariants: acyclicity and port types."""
@@ -220,19 +249,32 @@ class CDFG:
     def op_count(self, kind: OpKind) -> int:
         return sum(1 for n in self.nodes.values() if n.kind is kind)
 
-    def rewire(self, old: int, new: int,
-               only: set[int] | None = None) -> None:
+    def set_operands(self, nid: int, operands) -> None:
+        """Replace the operands of ``nid`` (unchecked, like ``rewire``:
+        dangling ids, cycles and port-type mismatches are accepted and
+        left to :meth:`validate` and :mod:`repro.analysis`)."""
+        node = self.nodes[nid]
+        for op in node.operands:
+            self._drop_use(op, nid)
+        object.__setattr__(node, "operands", tuple(operands))
+        for op in node.operands:
+            self._uses.setdefault(op, []).append(nid)
+        self._order = None
+
+    def rewire(self, old: int, new: int) -> None:
         """Redirect consumers of ``old`` to read ``new`` instead."""
-        for n in self.nodes.values():
-            if only is not None and n.id not in only:
-                continue
-            n.operands = [new if op == old else op for op in n.operands]
+        for cid in dict.fromkeys(self._uses.get(old, ())):
+            self.set_operands(cid, [new if op == old else op
+                                    for op in self.nodes[cid].operands])
 
     def remove(self, nid: int) -> None:
         """Remove a node (must have no consumers)."""
-        if self.successors(nid):
+        if self._uses.get(nid):
             raise ValueError(f"node {nid} still has consumers")
-        del self.nodes[nid]
+        for op in self.nodes.pop(nid).operands:
+            self._drop_use(op, nid)
+        del self._uses[nid]
+        self._order = None
 
     def prune_dead(self) -> int:
         """Remove nodes with no path to an output; returns count."""
@@ -246,8 +288,19 @@ class CDFG:
             work.extend(self.nodes[nid].operands)
         dead = [nid for nid in self.nodes if nid not in live]
         for nid in dead:
-            del self.nodes[nid]
+            for op in self.nodes.pop(nid).operands:
+                self._drop_use(op, nid)
+        for nid in dead:
+            self._uses.pop(nid, None)
+        if dead:
+            self._order = None
         return len(dead)
+
+    def _drop_use(self, producer: int, consumer: int) -> None:
+        uses = self._uses[producer]
+        uses.remove(consumer)
+        if not uses and producer not in self.nodes:
+            del self._uses[producer]      # a dangling id nobody reads
 
     # -- debugging ---------------------------------------------------------
 

@@ -26,7 +26,7 @@ from ..hw.netlist import (cs_to_ieee_converter, divider_design,
                           ieee_to_cs_converter)
 from ..hw.synthesis import synthesize, synthesize_by_name
 from ..hw.technology import VIRTEX6, FpgaDevice
-from .ir import Node, OpKind
+from .ir import CDFG, Node, OpKind
 
 __all__ = ["OperatorSpec", "OperatorLibrary", "default_library"]
 
@@ -58,6 +58,21 @@ class OperatorLibrary:
 
     def latency(self, node: Node) -> int:
         return self.spec_for(node).latency
+
+    def latencies(self, graph: CDFG) -> dict[int, int]:
+        """Latency of every node of ``graph``, looked up once per kind.
+
+        Callers build the table per call and do not keep it: ``specs``
+        and ``fma_limit`` may be edited between calls.
+        """
+        by_kind: dict[OpKind, int] = {}
+        table: dict[int, int] = {}
+        for nid, node in graph.nodes.items():
+            lat = by_kind.get(node.kind)
+            if lat is None:
+                lat = by_kind[node.kind] = self.latency(node)
+            table[nid] = lat
+        return table
 
     def spec_for(self, node: Node) -> OperatorSpec:
         key = self.resource_class(node)

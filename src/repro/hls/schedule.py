@@ -29,12 +29,18 @@ class Schedule:
         assert self.graph is not None and self.library is not None
         return self.start[nid] + self.library.latency(self.graph.nodes[nid])
 
+    def finish_times(self) -> dict[int, int]:
+        """:meth:`finish` of every scheduled node."""
+        assert self.graph is not None and self.library is not None
+        lat = self.library.latencies(self.graph)
+        return {nid: t + lat[nid] for nid, t in self.start.items()}
+
     @property
     def length(self) -> int:
         """Schedule length: cycle at which the last result is ready."""
         if not self.start or self.graph is None:
             return 0
-        return max(self.finish(nid) for nid in self.start)
+        return max(self.finish_times().values())
 
     def resource_usage(self) -> dict[str, int]:
         """Peak concurrent occupancy per operator class.
@@ -59,12 +65,12 @@ class Schedule:
 
 def asap_schedule(graph: CDFG, library: OperatorLibrary) -> Schedule:
     """As-soon-as-possible start times (unconstrained resources)."""
+    lat = library.latencies(graph)
     start: dict[int, int] = {}
     for nid in graph.topological_order():
-        node = graph.nodes[nid]
         t = 0
-        for op in node.operands:
-            t = max(t, start[op] + library.latency(graph.nodes[op]))
+        for op in graph.nodes[nid].operands:
+            t = max(t, start[op] + lat[op])
         start[nid] = t
     return Schedule(start, graph, library)
 
@@ -73,21 +79,19 @@ def alap_schedule(graph: CDFG, library: OperatorLibrary,
                   horizon: int | None = None) -> Schedule:
     """As-late-as-possible start times against a horizon (defaults to
     the ASAP length, giving zero slack on the critical path)."""
-    asap = asap_schedule(graph, library)
     if horizon is None:
-        horizon = asap.length
-    succs: dict[int, list[int]] = {nid: [] for nid in graph.nodes}
-    for n in graph.nodes.values():
-        for op in n.operands:
-            succs[op].append(n.id)
+        horizon = asap_schedule(graph, library).length
+    lat = library.latencies(graph)
+    # walking consumers before producers, each node's start caps the
+    # finish of its operands; a node nobody reads finishes at the horizon
+    deadline: dict[int, int] = {}
     start: dict[int, int] = {}
     for nid in reversed(graph.topological_order()):
-        node = graph.nodes[nid]
-        lat = library.latency(node)
-        if not succs[nid]:
-            start[nid] = horizon - lat
-        else:
-            start[nid] = min(start[s] for s in succs[nid]) - lat
+        t = deadline.get(nid, horizon) - lat[nid]
+        start[nid] = t
+        for op in graph.nodes[nid].operands:
+            if op not in deadline or t < deadline[op]:
+                deadline[op] = t
     return Schedule(start, graph, library)
 
 
@@ -105,13 +109,9 @@ def list_schedule(graph: CDFG, library: OperatorLibrary) -> Schedule:
     asap = asap_schedule(graph, library)
     alap = alap_schedule(graph, library, asap.length)
     slack = {nid: alap.start[nid] - asap.start[nid] for nid in graph.nodes}
+    lat = library.latencies(graph)
 
-    succs: dict[int, list[int]] = {nid: [] for nid in graph.nodes}
-    remaining: dict[int, int] = {}
-    for n in graph.nodes.values():
-        remaining[n.id] = len(n.operands)
-        for op in n.operands:
-            succs[op].append(n.id)
+    remaining = {n.id: len(n.operands) for n in graph.nodes.values()}
 
     # event-driven readiness: a min-heap keyed by (slack, id) holds the
     # currently issueable nodes; completion events feed it
@@ -140,8 +140,8 @@ def list_schedule(graph: CDFG, library: OperatorLibrary) -> Schedule:
                 used[res] = used.get(res, 0) + 1
             start[nid] = cycle
             scheduled += 1
-            done = cycle + library.latency(node)
-            for succ in succs[nid]:
+            done = cycle + lat[nid]
+            for succ, _ in graph.consumers(nid):
                 remaining[succ] -= 1
                 # a successor is ready at the max finish over *all* its
                 # operands, not at the finish of the last-counted one

@@ -82,7 +82,7 @@ class TestIndividualRules:
         b = g.add_input("b")
         s = g.add_op(OpKind.ADD, a, b)
         g.add_output(s, "y")
-        g.nodes[s].operands.append(b)       # third operand on an ADD
+        g.set_operands(s, [a, b, b])        # third operand on an ADD
         assert "CS009" in verify_format_flow(g).rule_ids()
 
     def test_cs010_no_outputs(self):
@@ -97,7 +97,7 @@ class TestIndividualRules:
         a = g.add_input("a")
         b = g.add_input("b")
         g.add_output(g.add_op(OpKind.ADD, a, b), "y")
-        g.nodes[b].operands = [a]
+        g.set_operands(b, [a])
         assert "CS011" in verify_format_flow(g).rule_ids()
 
     def test_cs012_negate_b_outside_fma(self):
@@ -115,8 +115,8 @@ class TestIndividualRules:
         b = g.add_input("b")
         s = g.add_op(OpKind.ADD, a, b)
         out = g.add_output(s, "y")
-        g.nodes[s].operands[1] = 4242       # dangling (a keeps s? no--)
-        g.nodes[out].operands = [4343]      # dangling output too
+        g.set_operands(s, [a, 4242])        # dangling (a keeps s? no--)
+        g.set_operands(out, [4343])         # dangling output too
         ids = verify_format_flow(g).rule_ids()
         assert "CS001" in ids
 

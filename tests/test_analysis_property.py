@@ -1,4 +1,5 @@
-"""Property test: the FMA-insertion pass always emits verifiable graphs.
+"""Property tests: the FMA-insertion pass always emits verifiable
+graphs, and the CDFG's use index and cached order track every edit.
 
 Hypothesis builds random straight-line CDFGs (the shape of unrolled
 CVXGEN/Nymble kernels: a pool of inputs and constants, a random DAG of
@@ -7,6 +8,11 @@ thresholds and unit flavors.  Whatever the pass does -- fuse, insert
 converters, collapse converter pairs, prune -- the result must satisfy
 the CS format-flow invariant with zero diagnostics, and its schedules
 must validate.
+
+The second property drives random edit sequences (``add_op``,
+``rewire``, ``remove``, ``prune_dead``, ``set_operands``) and compares
+the graph's O(degree) edge queries and its cached topological order
+against brute-force scans after every step.
 """
 
 import pytest
@@ -117,3 +123,87 @@ def test_nonzero_threshold_fuses_offpath_pairs(flavor):
     assert relaxed.op_count(OpKind.FMA) >= \
         strict.op_count(OpKind.FMA)
     assert relaxed.op_count(OpKind.FMA) == 4
+
+
+def _scan_consumers(g, nid):
+    """Reference for ``consumers``: every port of every node."""
+    return [(n.id, port) for n in g.nodes.values()
+            for port, op in enumerate(n.operands) if op == nid]
+
+
+def _scan_kahn(g):
+    """Reference topological order (sources ascending, first-in
+    first-out); None when the graph has a cycle."""
+    indeg = {nid: 0 for nid in g.nodes}
+    succs = {nid: [] for nid in g.nodes}
+    for n in g.nodes.values():
+        for op in n.operands:
+            succs[op].append(n.id)
+            indeg[n.id] += 1
+    ready = sorted(nid for nid, d in indeg.items() if d == 0)
+    order = []
+    while ready:
+        nid = ready.pop(0)
+        order.append(nid)
+        for s in succs[nid]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                ready.append(s)
+    return order if len(order) == len(g.nodes) else None
+
+
+def _assert_index_matches_scan(g):
+    for nid in g.nodes:
+        want = _scan_consumers(g, nid)
+        assert g.consumers(nid) == want
+        assert g.successors(nid) == list(dict.fromkeys(c for c, _ in want))
+    want = _scan_kahn(g)
+    if want is None:
+        with pytest.raises(ValueError):
+            g.topological_order()
+    else:
+        assert g.topological_order() == want
+
+
+_EDITS = ["add_op", "rewire", "remove", "prune_dead", "set_operands"]
+
+
+@given(graph=straight_line_cdfg(), data=st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_use_index_and_order_track_every_edit(graph, data):
+    g = graph
+    _assert_index_matches_scan(g)       # also primes the order cache
+    for _ in range(data.draw(st.integers(min_value=1, max_value=20))):
+        ids = sorted(g.nodes)
+        pick = st.sampled_from(ids)
+        edit = data.draw(st.sampled_from(_EDITS))
+        if edit == "add_op":
+            kind = data.draw(st.sampled_from(
+                [OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.NEG]))
+            arity = 1 if kind is OpKind.NEG else 2
+            g.add_op(kind, *data.draw(st.lists(pick, min_size=arity,
+                                               max_size=arity)))
+        elif edit == "rewire":
+            old, new = data.draw(pick), data.draw(pick)
+            want = {n.id: tuple(new if op == old else op
+                                for op in n.operands)
+                    for n in g.nodes.values()}
+            g.rewire(old, new)
+            assert {n.id: n.operands for n in g.nodes.values()} == want
+        elif edit == "remove":
+            nid = data.draw(pick)
+            if _scan_consumers(g, nid):
+                with pytest.raises(ValueError):
+                    g.remove(nid)
+            else:
+                g.remove(nid)
+        elif edit == "prune_dead":
+            g.prune_dead()
+        else:
+            # may close a cycle: the cached order must not survive it
+            g.set_operands(data.draw(pick),
+                           data.draw(st.lists(pick, max_size=3)))
+        _assert_index_matches_scan(g)
+        if not g.nodes:
+            break

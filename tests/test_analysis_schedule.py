@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import check_schedule
+from repro.analysis import ScheduleCheckError, check_schedule, require_clean
 from repro.hls import (Schedule, asap_schedule, default_library,
                        list_schedule, parse_program, run_fma_insertion)
 
@@ -74,3 +74,17 @@ class TestViolations:
 
     def test_sch005_detached_schedule(self):
         assert check_schedule(Schedule()).rule_ids() == {"SCH005"}
+
+
+class TestGate:
+    def test_clean_schedule_passes_through(self, graph, library):
+        sched = list_schedule(graph, library)
+        assert require_clean(sched) is sched
+
+    def test_any_diagnostic_raises_with_report(self, graph, library):
+        sched = asap_schedule(graph, library)
+        sched.start[graph.inputs()[0]] = -1
+        with pytest.raises(ScheduleCheckError) as exc:
+            require_clean(sched, target="t")
+        assert exc.value.report.rule_ids() == {"SCH003"}
+        assert "SCH003" in str(exc.value)

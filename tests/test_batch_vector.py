@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro import probes
 from repro.batch import (BACKENDS, dot_batch, fma_batch, resolve_backend,
-                         vector_available, vector_kernel_for)
+                         vector_kernel_for)
 from repro.batch.engines import BACKEND_ENV
 from repro.fma import FcsFmaUnit, PcsFmaUnit, cs_to_ieee
 from repro.fp import BINARY64, FPValue
@@ -40,10 +40,6 @@ CASES = json.loads(VECTORS.read_text())["cases"]
 
 UNITS = [PcsFmaUnit(), FcsFmaUnit()]
 unit_ids = ["pcs", "fcs"]
-
-pytestmark = pytest.mark.skipif(not vector_available(),
-                                reason="NumPy vector engine unavailable")
-
 
 def from_word(word: int) -> FPValue:
     x = struct.unpack("<d", struct.pack("<Q", word))[0]

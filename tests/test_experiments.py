@@ -74,6 +74,26 @@ class TestFig15:
         text = fig15.format_table(rows)
         assert "small" in text
 
+    def test_invalid_schedule_is_refused(self, monkeypatch):
+        # every reported length is re-proved: a list scheduler that
+        # issues an op before its operand is ready stops the driver
+        from repro.analysis import ScheduleCheckError
+
+        real = fig15.list_schedule
+
+        def sabotaged(graph, library):
+            sched = real(graph, library)
+            late = max((n for n in graph.nodes
+                        if graph.nodes[n].operands),
+                       key=lambda n: sched.start[n])
+            sched.start[late] -= 1
+            return sched
+
+        monkeypatch.setattr(fig15, "list_schedule", sabotaged)
+        with pytest.raises(ScheduleCheckError) as exc:
+            fig15.run(sizes=[("small", 4, 1)])
+        assert "SCH001" in exc.value.report.rule_ids()
+
 
 class TestAblation:
     def test_divisor_spacings(self):

@@ -91,7 +91,7 @@ class TestHlsRobustness:
         a = g.inputs()[0]
         cs = g.add_op(OpKind.I2C, a)
         add = [n for n in g.nodes.values() if n.kind is OpKind.ADD][0]
-        add.operands[0] = cs
+        g.set_operands(add.id, [cs, add.operands[1]])
         with pytest.raises(TypeError):
             g.validate()
 
@@ -99,7 +99,7 @@ class TestHlsRobustness:
         g = parse_program("y = a + b;")
         add = [n for n in g.nodes.values() if n.kind is OpKind.ADD][0]
         out = g.outputs()[0]
-        add.operands[1] = out
+        g.set_operands(add.id, [add.operands[0], out])
         with pytest.raises(ValueError):
             g.validate()
 

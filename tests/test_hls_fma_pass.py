@@ -1,12 +1,15 @@
 """Tests for the Fig. 12 FMA-insertion pass."""
 
+import hashlib
 import random
+from functools import lru_cache
 
 import pytest
 
 from repro.fma import fcs_engine, pcs_engine
 from repro.hls import (OpKind, asap_schedule, default_library,
-                       parse_program, run_fma_insertion, simulate)
+                       list_schedule, parse_program, run_fma_insertion,
+                       simulate)
 
 LISTING1 = """
 x1 = a*b + c*d;
@@ -114,6 +117,17 @@ class TestSemanticsPreserved:
         out = simulate(g, ins, engine=fcs_engine())
         assert out["y1"] == 7.0 and out["y2"] == 5.0
 
+    @pytest.mark.parametrize("flavor", ["pcs", "fcs"])
+    def test_product_read_on_both_ports_not_fused(self, flavor):
+        # x feeds two ports of one add: the use index counts ports, not
+        # consumers, so the product is not exclusive to the add
+        g = fresh("x = a*b; y = x + x;", outputs=["y"])
+        mul = [n.id for n in g.nodes.values() if n.kind is OpKind.MUL]
+        assert len(g.consumers(mul[0])) == 2
+        rep = run_fma_insertion(g, default_library(fma_flavor=flavor))
+        assert rep.fma_inserted == 0
+        assert g.op_count(OpKind.MUL) == 1 and g.op_count(OpKind.ADD) == 1
+
 
 class TestGraphHygiene:
     def test_no_dead_nodes_left(self):
@@ -151,7 +165,7 @@ class TestGraphHygiene:
                 node = graph.nodes[out]
                 src = graph.nodes[node.operands[0]]
                 if src.kind is OpKind.C2I:
-                    node.operands[0] = src.operands[0]
+                    graph.set_operands(out, src.operands)
             return removed
 
         monkeypatch.setattr(fp, "_remove_redundant_converters",
@@ -183,3 +197,62 @@ class TestLdlsolveShape:
         pcs_red = 1 - lengths["pcs"][1] / lengths["pcs"][0]
         fcs_red = 1 - lengths["fcs"][1] / lengths["fcs"][0]
         assert fcs_red > pcs_red
+
+    # (kernel, flavor) -> (baseline, final, rounds, FMAs per round,
+    # converters removed, nodes after the pass, list-schedule length,
+    # sha256 over every node's (id, kind, operands, negate_b))
+    PINNED = {
+        ("small", "pcs"): (
+            321, 233, 9, [71, 15, 9, 6, 3, 3, 3, 2, 6], 222, 730, 233,
+            "d4c922839661f8a13276111b959e6359"
+            "52cb14950f14cb8675dbfa17d08a2d08"),
+        ("small", "fcs"): (
+            321, 145, 11, [71, 19, 7, 7, 5, 8, 3, 2, 2, 4, 1], 244, 730,
+            145,
+            "a0bcabb33c67e68315ee01a040f84df9"
+            "6188bb08397bf4c1e3ee1458dcee0fff"),
+        ("medium", "pcs"): (
+            703, 578, 10, [133, 12, 18, 9, 13, 8, 9, 6, 3, 3], 481, 1861,
+            578,
+            "90843c4f64c40afaec0c577bf0828bdb"
+            "7debdd63c94f5c205896e7301b98c2c4"),
+        ("medium", "fcs"): (
+            703, 352, 12, [133, 23, 14, 9, 25, 12, 5, 5, 12, 4, 1, 9], 555,
+            1863, 352,
+            "d096b9470d2f7723e43463ee1905f0a7"
+            "56d1ee0b9d04307fe1d7cd9296dd614f"),
+    }
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _kernel(name):
+        from repro.solvers import (BENCHMARK_SIZES, generate_kernel,
+                                   trajectory_problem)
+        (horizon, obstacles), = [(h, o) for n, h, o in BENCHMARK_SIZES
+                                 if n == name]
+        return generate_kernel(trajectory_problem(horizon, obstacles))
+
+    @pytest.mark.parametrize("name,flavor", sorted(PINNED))
+    def test_fig15_kernels_pinned(self, name, flavor):
+        # the exact graph the Fig. 15 driver schedules: any change to
+        # pair selection order, converter cleanup or node numbering
+        # shows up here, not just in the schedule length
+        kernel = self._kernel(name)
+        g = parse_program(kernel.source, outputs=kernel.output_names)
+        lib = default_library(fma_flavor=flavor, fma_limit=39)
+        rep = run_fma_insertion(g, lib, slack_threshold=0)
+        digest = hashlib.sha256()
+        for n in g.nodes.values():
+            ops = ",".join(map(str, n.operands))
+            digest.update(
+                f"{n.id}:{n.kind.value}:{ops}:{int(n.negate_b)};".encode())
+        (base, final, rounds, per_round, removed, nodes, sched,
+         sha) = self.PINNED[name, flavor]
+        assert (rep.baseline_length, rep.final_length) == (base, final)
+        assert rep.iterations == rounds
+        assert rep.fma_per_round == per_round
+        assert rep.fma_inserted == sum(per_round)
+        assert rep.converters_removed == removed
+        assert len(g) == nodes
+        assert list_schedule(g, lib).length == sched
+        assert digest.hexdigest() == sha

@@ -109,9 +109,20 @@ class TestStructure:
     def test_cycle_detection(self):
         g, (a, b, c, m, s) = small_graph()
         # manually create a cycle
-        g.nodes[m].operands[0] = s
+        g.set_operands(m, [s, b])
         with pytest.raises(ValueError):
             g.topological_order()
+
+    def test_operands_change_only_through_the_graph(self):
+        g, (a, b, c, m, s) = small_graph()
+        g.validate()                    # caches the order
+        with pytest.raises(AttributeError):
+            g.nodes[m].operands = (s, b)
+        with pytest.raises(TypeError):
+            g.nodes[m].operands[0] = s
+        assert g.nodes[m].operands == (a, b)
+        assert m not in g.successors(s)
+        g.validate()
 
     def test_consumers_with_ports(self):
         g, (a, b, c, m, s) = small_graph()
