@@ -8,6 +8,8 @@ call:
 
 * :func:`fma_batch` / :func:`dot_batch` / :func:`accumulate_batch` --
   batched entry points over the carry-save units and the [12] MAC;
+* :func:`select_engine` -- the one place that picks the engine
+  (faithful / tuple kernel / NumPy lane engine) a batch call runs on;
 * :func:`accelerate_engine` plus the ``Fast*Engine`` classes -- drop-in
   fast twins of the :class:`~repro.fma.chain.FmaEngine` family, used by
   the ``use_batch=`` switches in ``hls.simulate``/``hls.execute`` and
@@ -24,11 +26,10 @@ pinned to them by the differential harness in
 ``tests/test_batch_differential.py``.
 """
 
-from .api import accumulate_batch, dot_batch, fma_batch
+from .api import accumulate_batch, dot_batch, fma_batch, select_engine
 from .cskernel import FastCSKernel, bit_positions, kernel_for
 from .engines import (BACKENDS, FastCSFmaEngine, FastDiscreteMulAddEngine,
-                      FastFusedIeeeEngine, accelerate_engine,
-                      resolve_backend)
+                      FastFusedIeeeEngine, accelerate_engine)
 from .ieee_fast import (as_format_fast, fp_add_fast, fp_fma_fast,
                         fp_mul_fast, round_to_format)
 from .memo import clear_hw_caches, hw_cache_info
@@ -39,7 +40,7 @@ __all__ = [
     "fma_batch", "dot_batch", "accumulate_batch",
     "accelerate_engine", "FastCSFmaEngine", "FastDiscreteMulAddEngine",
     "FastFusedIeeeEngine", "FastCSKernel", "kernel_for", "bit_positions",
-    "BACKENDS", "resolve_backend",
+    "BACKENDS", "select_engine",
     "VectorCSKernel", "vector_kernel_for", "clear_vector_cache",
     "fp_add_fast", "fp_mul_fast", "fp_fma_fast", "as_format_fast",
     "round_to_format",

@@ -1,5 +1,6 @@
 """Public batched entry points: ``fma_batch``, ``dot_batch``,
-``accumulate_batch``.
+``accumulate_batch``, and :func:`select_engine`, which picks the engine
+each call runs on.
 
 Each function evaluates many operations through the fast kernels of
 :mod:`repro.batch` while remaining bit-identical to the corresponding
@@ -9,7 +10,10 @@ that loop, which is what the differential tests compare against).
 
 from __future__ import annotations
 
+import os
 from typing import Sequence
+
+import numpy as np
 
 from .. import probes
 from ..fma.accumulator import AccumulatorOverflow, PcsAccumulator
@@ -21,42 +25,63 @@ from ..fp.value import FpClass, FPValue
 from ..guard import residue as _gd
 from ..telemetry import core as _tm
 from .cskernel import CS_ZERO, bit_positions, kernel_for
-from .engines import requested_backend, resolve_backend
+from .engines import BACKEND_ENV, BACKENDS
 from .ieee_fast import fp_mul_fast
+from .vector import count_lanes, vector_kernel_for
 
-__all__ = ["fma_batch", "dot_batch", "accumulate_batch"]
-
-#: below these batch sizes the vector engine's fixed ndarray overhead
-#: loses to the tuple kernel, so ``auto`` dispatch routes the call to
-#: the tuple kernel (counted as a ``small-batch`` fallback).  An
-#: explicit ``backend="vector"`` pin skips the heuristic: the per-fma
-#: lift/lower staging only amortizes across hundreds of lanes, whereas
-#: the dot chain amortizes its staging across the whole vector length.
-VECTOR_MIN_FMA_LANES = 512
-VECTOR_MIN_DOT_LEN = 512
+__all__ = ["fma_batch", "dot_batch", "accumulate_batch", "select_engine"]
 
 
-def _vector_blocked() -> "str | None":
-    """Reason the vector engine must defer this *call* entirely, or
-    ``None``.  Armed fault probes and the armed residue guard observe
-    scalar datapath signals, so arming semantics are preserved exactly
-    by routing armed work through the tuple kernel."""
+def select_engine(op: str, unit: CSFmaUnit, size: int,
+                  backend: str | None = None,
+                  use_batch: bool = True) -> str:
+    """The engine one batch call runs on: ``faithful``, ``tuple`` or
+    ``vector``.
+
+    ``op`` names the call and ``size`` its width: ``"fma"`` (lanes of
+    :func:`fma_batch`), ``"dot"`` (elements of one :func:`dot_batch`)
+    or ``"dot-lanes"`` (dots in one coalesced serve payload).  In order:
+    ``use_batch=False`` runs the faithful models; the request is
+    ``backend``, else :data:`~repro.batch.engines.BACKEND_ENV`, else
+    ``auto``; strict units have no fast kernel and run faithful.  A
+    ``vector``/``auto`` request then goes to the tuple kernel while
+    probes or the residue guard are armed (they observe the scalar
+    datapath), and an ``auto`` one also when ``size`` is below the
+    measured crossover under which the lane engine's fixed ndarray cost
+    loses (docs/PERFORMANCE.md); a ``vector`` pin skips only that size
+    test.  The one fallback reason is counted as
+    ``batch.vector.fallback`` and ``batch.vector.fallback.<reason>``.
+    """
+    if not use_batch:
+        return "faithful"
+    if backend is None:
+        backend = os.environ.get(BACKEND_ENV) or "auto"
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    if unit.strict:
+        return "faithful"
+    if backend in ("tuple", "faithful"):
+        return backend
     if probes.ARMED is not None:
-        return "armed-probes"
-    if _gd.ACTIVE is not None:
-        return "armed-guard"
-    return None
-
-
-def _count_fallback(tm, reason: str) -> None:
+        reason = "armed-probes"
+    elif _gd.ACTIVE is not None:
+        reason = "armed-guard"
+    elif backend == "auto" and size < {"fma": 576, "dot": 768,
+                                       "dot-lanes": 56}[op]:
+        reason = "small-batch"
+    else:
+        return "vector"
+    tm = _tm.ACTIVE
     if tm is not None:
         tm.count("batch.vector.fallback")
         tm.count(f"batch.vector.fallback.{reason}")
+    return "tuple"
 
 
 def _fp_word(x: FPValue) -> int:
-    """Canonical binary64 bit pattern (specials defer, so only the
-    normal/zero encodings must round-trip exactly)."""
+    """Canonical binary64 bit pattern of a binary64 value (specials
+    defer, so only the normal/zero encodings must round-trip exactly)."""
     if x.is_nan:
         return 0x7FF8000000000000
     if x.is_inf:
@@ -66,67 +91,58 @@ def _fp_word(x: FPValue) -> int:
     return (x.sign << 63) | (x.biased_exponent << 52) | x.fraction
 
 
-def _fma_vector(kernel, unit, a, b, c, tm,
-                pinned: bool = False) -> "list[CSFloat] | None":
-    """All-lanes vector evaluation of ``fma_batch``; ``None`` -> caller
-    falls back to the tuple loop (reason already counted).  ``pinned``
-    (an explicit ``vector`` request) bypasses the batch-size
-    heuristic."""
-    from .vector import np, vector_kernel_for
+def _fma_tuple(kernel, a, b, c) -> list[CSFloat]:
+    """:func:`fma_batch` on the tuple kernel."""
+    lift = kernel.lift_cs
+    lift_ieee = kernel.lift_ieee
+    out = []
+    for ai, bi, ci in zip(a, b, c):
+        at = lift_ieee(ai) if isinstance(ai, FPValue) else lift(ai)
+        ct = lift_ieee(ci) if isinstance(ci, FPValue) else lift(ci)
+        bt = kernel.lift_b(bi)
+        pos = bit_positions(bt[3]) if bt[0] == 1 else None
+        out.append(kernel.lower(kernel.fma(at, bt, ct, pos)))
+    return out
 
-    reason = _vector_blocked()
-    if reason is None and not pinned and len(a) < VECTOR_MIN_FMA_LANES:
-        reason = "small-batch"
-    vk = vector_kernel_for(unit) if reason is None else None
-    if reason is None and vk is None:
-        reason = "no-kernel"
-    if reason is not None:
-        _count_fallback(tm, reason)
-        return None
+
+def _fma_vector(vk, a, b, c) -> list[CSFloat]:
+    """:func:`fma_batch` on the lane engine ``vk``.  Lanes with no
+    binary64 word encoding (CS operands, other IEEE formats) and lanes
+    with NaN/Inf operands re-run through :func:`_fma_tuple`."""
     n = len(a)
-    defer = np.zeros(n, bool)
+    cs_lane = np.zeros(n, bool)
+    fmt_lane = np.zeros(n, bool)
     aw = np.zeros(n, np.uint64)
     bw = np.zeros(n, np.uint64)
     cw = np.zeros(n, np.uint64)
-    for i in range(n):
-        ai, ci = a[i], c[i]
-        if isinstance(ai, FPValue) and isinstance(ci, FPValue):
+    for i, (ai, bi, ci) in enumerate(zip(a, b, c)):
+        if not (isinstance(ai, FPValue) and isinstance(ci, FPValue)):
+            cs_lane[i] = True
+        elif ai.fmt is bi.fmt is ci.fmt is BINARY64:
             aw[i] = _fp_word(ai)
-            bw[i] = _fp_word(b[i])
+            bw[i] = _fp_word(bi)
             cw[i] = _fp_word(ci)
         else:
-            defer[i] = True     # live CS operands: no word encoding
+            fmt_lane[i] = True
     acs, _ab, spec_a = vk.lift_words(aw)
     _cb, bcs, spec_b = vk.lift_words(bw)
     ccs, _xb, spec_c = vk.lift_words(cw)
-    n_cs = int(defer.sum())
-    defer |= spec_a | spec_b | spec_c
-    # deferred lanes run scalar below; make their vector lanes trivial
+    special = spec_a | spec_b | spec_c
+    defer = cs_lane | fmt_lane | special
+    # deferred lanes re-run below; make their vector lanes trivial
     # (class ZERO) so the lane engine never sees a special class
     for cols in (acs, bcs, ccs):
         cols["cls"] = np.where(defer, CS_ZERO, cols["cls"])
     tuples = vk.lower_lanes(vk.fma_lanes(acs, bcs, ccs))
-    if tm is not None:
-        n_def = int(defer.sum())
-        tm.count("batch.vector.lanes", n - n_def)
-        if n_def:
-            tm.count("batch.vector.deferred", n_def)
-            if n_cs:
-                tm.count("batch.vector.deferred.cs-operand", n_cs)
-            if n_def - n_cs:
-                tm.count("batch.vector.deferred.special", n_def - n_cs)
-    lower = kernel.lower
-    out = [lower(t) for t in tuples]
-    if defer.any():
-        lift = kernel.lift_cs
-        lift_ieee = kernel.lift_ieee
-        for i in np.flatnonzero(defer):
-            ai, bi, ci = a[i], b[i], c[i]
-            at = lift_ieee(ai) if isinstance(ai, FPValue) else lift(ai)
-            ct = lift_ieee(ci) if isinstance(ci, FPValue) else lift(ci)
-            bt = kernel.lift_b(bi)
-            pos = bit_positions(bt[3]) if bt[0] == 1 else None
-            out[i] = lower(kernel.fma(at, bt, ct, pos))
+    count_lanes(n, {"cs-operand": int(cs_lane.sum()),
+                    "non-binary64": int(fmt_lane.sum()),
+                    "special": int(special.sum())})
+    out = [vk.kernel.lower(t) for t in tuples]
+    idx = np.flatnonzero(defer).tolist()
+    redo = _fma_tuple(vk.kernel, [a[i] for i in idx], [b[i] for i in idx],
+                      [c[i] for i in idx])
+    for i, r in zip(idx, redo):
+        out[i] = r
     return out
 
 
@@ -145,45 +161,28 @@ def fma_batch(a: Sequence["CSFloat | FPValue"], b: Sequence[FPValue],
 
     ``a``/``c`` accept CS operands or IEEE values (lifted exactly);
     ``b`` stays IEEE as in the hardware.  Bit-identical to calling
-    ``unit.fma`` element by element.  ``backend`` selects the evaluation
-    machinery (:data:`repro.batch.engines.BACKENDS`; ``None`` honours
-    ``REPRO_BATCH_BACKEND``); ``use_batch=False`` forces ``faithful``.
+    ``unit.fma`` element by element.  ``backend`` requests an engine
+    (:data:`repro.batch.engines.BACKENDS`; ``None`` honours
+    ``REPRO_BATCH_BACKEND``); :func:`select_engine` decides.
     """
     if not (len(a) == len(b) == len(c)):
         raise ValueError("operand vector length mismatch")
     unit = unit if unit is not None else FcsFmaUnit()
-    if not use_batch:
-        requested = backend = "faithful"
-    else:
-        requested = requested_backend(backend)
-        backend = resolve_backend(requested)
-    kernel = kernel_for(unit) if backend != "faithful" else None
+    engine = select_engine("fma", unit, len(a), backend, use_batch)
     tm = _tm.ACTIVE
     if tm is not None:
         # call-boundary instrumentation only: per-kernel lane counts,
         # never per-element work (keeps the disabled-overhead gate free)
         tm.count("batch.fma.calls")
         tm.count(f"batch.fma.elements.{unit.params.name}", len(a))
-        if kernel is None:
+        if engine == "faithful":
             tm.count("batch.fma.fallback_scalar")
-    if kernel is None:
+    if engine == "faithful":
         return [unit.fma(_as_cs(ai, unit), bi, _as_cs(ci, unit))
                 for ai, bi, ci in zip(a, b, c)]
-    if backend == "vector":
-        out = _fma_vector(kernel, unit, a, b, c, tm,
-                          pinned=requested == "vector")
-        if out is not None:
-            return out
-    lift = kernel.lift_cs
-    lift_ieee = kernel.lift_ieee
-    out = []
-    for ai, bi, ci in zip(a, b, c):
-        at = lift_ieee(ai) if isinstance(ai, FPValue) else lift(ai)
-        ct = lift_ieee(ci) if isinstance(ci, FPValue) else lift(ci)
-        bt = kernel.lift_b(bi)
-        pos = bit_positions(bt[3]) if bt[0] == 1 else None
-        out.append(kernel.lower(kernel.fma(at, bt, ct, pos)))
-    return out
+    if engine == "vector":
+        return _fma_vector(vector_kernel_for(unit), a, b, c)
+    return _fma_tuple(kernel_for(unit), a, b, c)
 
 
 def dot_batch(a: Sequence[FPValue], b: Sequence[FPValue],
@@ -197,50 +196,31 @@ def dot_batch(a: Sequence[FPValue], b: Sequence[FPValue],
     the accumulator stays in the unit's carry-save operand format and is
     normalized back to IEEE once at the end.  ``backend`` as in
     :func:`fma_batch`; the vector engine runs the product trees for all
-    steps as one ndarray pass (:meth:`VectorCSKernel.dot_hybrid`) and
-    defers to the tuple kernel while probes/guard are armed.
+    steps as one ndarray pass (:meth:`VectorCSKernel.dot_hybrid`).
     """
     if len(a) != len(b):
         raise ValueError("vector length mismatch")
     unit = unit if unit is not None else FcsFmaUnit()
-    if not use_batch:
-        requested = backend = "faithful"
-    else:
-        requested = requested_backend(backend)
-        backend = resolve_backend(requested)
-    kernel = kernel_for(unit) if backend != "faithful" else None
+    engine = select_engine("dot", unit, len(a), backend, use_batch)
     tm = _tm.ACTIVE
     if tm is not None:
         tm.count("batch.dot.calls")
         tm.count(f"batch.dot.elements.{unit.params.name}", len(a))
-        if kernel is None:
+        if engine == "faithful":
             tm.count("batch.dot.fallback_scalar")
-    if kernel is None:
+    if engine == "faithful":
         acc = ieee_to_cs(FPValue.zero(BINARY64), unit.params)
         for ai, bi in zip(a, b):
             acc = unit.fma(acc, ai, ieee_to_cs(bi, unit.params))
         return cs_to_ieee(acc)
-    if backend == "vector":
-        reason = _vector_blocked()
-        if (reason is None and requested != "vector"
-                and len(a) < VECTOR_MIN_DOT_LEN):
-            reason = "small-batch"
-        vk = None
-        if reason is None:
-            from .vector import vector_kernel_for
-
-            vk = vector_kernel_for(unit)
-            if vk is None:
-                reason = "no-kernel"
-        if reason is None:
+    kernel = kernel_for(unit)
+    with _tm.span("batch.dot.kernel"):
+        if engine == "vector":
             if tm is not None:
                 tm.count("batch.vector.lanes")
-            with _tm.span("batch.dot.kernel"):
-                acc = vk.dot_hybrid(a, b)
-            return cs_to_ieee(kernel.lower(acc))
-        _count_fallback(tm, reason)
-    with _tm.span("batch.dot.kernel"):
-        acc = kernel.dot_tuple(a, b)
+            acc = vector_kernel_for(unit).dot_hybrid(a, b)
+        else:
+            acc = kernel.dot_tuple(a, b)
     return cs_to_ieee(kernel.lower(acc))
 
 

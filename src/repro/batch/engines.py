@@ -11,7 +11,6 @@ with overridden behaviour, already-fast engines) pass through untouched.
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
 from ..fma.chain import (CSFmaEngine, DiscreteMulAddEngine, FmaEngine,
@@ -27,11 +26,10 @@ from .ieee_fast import as_format_fast, fp_add_fast, fp_fma_fast, fp_mul_fast
 
 __all__ = ["FastCSFmaEngine", "FastDiscreteMulAddEngine",
            "FastFusedIeeeEngine", "accelerate_engine",
-           "BACKENDS", "BACKEND_ENV", "requested_backend",
-           "resolve_backend"]
+           "BACKENDS", "BACKEND_ENV"]
 
 # ---------------------------------------------------------------------------
-# Backend dispatch
+# Backend names
 #
 # Three evaluation machineries produce bit-identical results:
 #
@@ -40,45 +38,15 @@ __all__ = ["FastCSFmaEngine", "FastDiscreteMulAddEngine",
 #                integer IEEE kernels) -- always available;
 # ``vector``     the NumPy lane engine (:mod:`repro.batch.vector`) --
 #                whole batches as ``uint64`` column arrays; defers
-#                armed/special lanes to ``tuple``.
+#                special lanes to ``tuple``.
 #
-# ``auto`` resolves to ``vector``.  The env var ``REPRO_BATCH_BACKEND``
-# overrides the default wherever a caller did not pin an explicit
-# backend.
+# ``auto`` lets :func:`repro.batch.api.select_engine` pick per call.
 
 #: recognised backend names, in resolution-priority order.
 BACKENDS = ("auto", "vector", "tuple", "faithful")
 
 #: environment override consulted when no explicit backend is passed.
 BACKEND_ENV = "REPRO_BATCH_BACKEND"
-
-
-def requested_backend(backend: "str | None" = None) -> str:
-    """The pre-resolution backend request, validated.
-
-    The explicit argument wins, else :data:`BACKEND_ENV`, else
-    ``auto``.  A request of ``vector`` (argument or environment) is a
-    *pin*: the lane engine runs regardless of batch-size heuristics,
-    whereas ``auto`` lets each entry point pick the profitable engine
-    per call.
-    """
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV) or "auto"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    return backend
-
-
-def resolve_backend(backend: "str | None" = None) -> str:
-    """Resolve a backend request to a concrete engine name.
-
-    ``None`` consults :data:`BACKEND_ENV`, then falls back to ``auto``;
-    ``auto`` picks ``vector``.  The return value is always one of
-    ``vector``/``tuple``/``faithful``.
-    """
-    backend = requested_backend(backend)
-    return "vector" if backend == "auto" else backend
 
 
 class FastCSFmaEngine(FmaEngine):

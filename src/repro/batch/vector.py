@@ -27,13 +27,18 @@ per-modulus trees produce.
 
 Divergence policy
 -----------------
-Lanes the vector pipeline does not model -- NaN/Inf operands, non-
-binary64 inputs, mid-chain overflow to infinity -- are masked out and
-routed to the scalar kernel, element by element, so the result stream is
-bit-identical lane for lane.  Armed probes / guard residue checkers are
-handled one level up (:mod:`repro.batch.api` falls back to the tuple
-kernel for the whole call, keeping every fault-injection site live);
-this module assumes it runs disarmed and installs no hooks.
+The lane engine reads binary64 operands only: :meth:`lift_words` and
+:meth:`dot_many_words` take binary64 bit words, and :meth:`dot_hybrid`
+hands a dot holding any other format to the tuple kernel.  Keeping other
+inputs off the word lift is the caller's job: :func:`repro.batch.
+fma_batch` re-runs CS-operand and non-binary64 lanes on the tuple kernel.
+Inside the engine, lanes with NaN/Inf operands and dot lanes whose
+accumulator overflows mid-chain are masked out and re-run on the tuple
+kernel, so the result stream is bit-identical lane for lane.  Armed
+probes / guard residue checkers are handled one level up
+(:func:`repro.batch.api.select_engine` sends the whole call to the tuple
+kernel, keeping every fault-injection site live); this module assumes it
+runs disarmed and installs no hooks.
 """
 
 from __future__ import annotations
@@ -44,10 +49,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..fp.formats import BINARY64
-from ..fp.value import FpClass, FPValue
+from ..fp.value import FpClass
 from ..telemetry import core as _tm
 from .cskernel import (CS_INF, CS_NAN, CS_NORMAL, CS_ZERO, FastCSKernel,
-                       bit_positions, kernel_for)
+                       kernel_for)
 
 __all__ = ["VectorCSKernel", "vector_kernel_for", "clear_vector_cache"]
 
@@ -70,6 +75,21 @@ def vector_kernel_for(unit) -> "VectorCSKernel | None":
 def clear_vector_cache() -> None:
     """Drop cached vector kernels (mainly for tests)."""
     _VECTORS.clear()
+
+
+def count_lanes(n: int, deferred: dict) -> None:
+    """Telemetry for one lane-engine call over ``n`` lanes, of which
+    ``deferred[reason]`` re-ran on the tuple kernel."""
+    tm = _tm.ACTIVE
+    if tm is None:
+        return
+    n_def = sum(deferred.values())
+    tm.count("batch.vector.lanes", n - n_def)
+    if n_def:
+        tm.count("batch.vector.deferred", n_def)
+        for reason, k in deferred.items():
+            if k:
+                tm.count(f"batch.vector.deferred.{reason}", k)
 
 
 _U64 = np.uint64
@@ -101,6 +121,8 @@ class VectorCSKernel:
     ``(n, mant_blocks)`` digit arrays, the rest ``(n,)``), an IEEE ``B``
     batch is ``{cls, sign, exp, sig}``.  All integers are ``uint64``
     digits / fields except exponents and classes, which are ``int64``.
+    As in :class:`~repro.fp.value.FPValue`, ``exp`` and the digit fields
+    are meaningful for NORMAL lanes only.
     """
 
     def __init__(self, kernel: FastCSKernel):
@@ -137,10 +159,6 @@ class VectorCSKernel:
         self.topd = self._const_digits((1 << (self.W - 1)) - 1, D)
         pd, pb = divmod(p.product_width - 1, BB)
         self.psign_digit, self.psign_bit = pd, _U64(pb)
-        # IEEE pack geometry: V = (mant_signed << block) + round_frac is
-        # a (mant_width + block + 1)-bit signed value -> MD + 2 digits
-        self.VD = MD + 2
-        self.fbits = BINARY64.fraction_bits
         self.fmask = _U64((1 << 52) - 1)
         # scratch workspaces live per thread so the serve executor's
         # worker pool can share one kernel object
@@ -189,28 +207,33 @@ class VectorCSKernel:
         t = x ^ y
         return t ^ z, self._shl1((x & y) | (t & z))
 
-    def _add(self, x, y):
-        """Digit-wise ripple add, carry out of the top digit dropped."""
-        out = np.empty_like(x)
-        c = np.zeros(x.shape[:-1], np.uint64)
-        for j in range(x.shape[-1]):
-            s = x[..., j] + y[..., j] + c
-            out[..., j] = s & self.DMASK
-            c = s >> self.BBu
+    def _carry_fix(self, out, c=None, c2=None):
+        """Fold digit overflow upward in place until every digit fits
+        (the carry out of the top digit is dropped, i.e. works mod
+        ``2^(K*BB)``).  ``c``/``c2`` are optional work arrays shaped like
+        ``out``; random digit sums almost never produce second-order
+        carries, so this beats a K-long ripple."""
+        if c is None:
+            c, c2 = np.empty_like(out), np.empty_like(out)
+        np.right_shift(out, self.BBu, out=c)
+        np.bitwise_and(out, self.DMASK, out=out)
+        while c.any():
+            c2[:, 0] = 0
+            c2[:, 1:] = c[:, :-1]
+            np.add(out, c2, out=out)
+            np.right_shift(out, self.BBu, out=c)
+            np.bitwise_and(out, self.DMASK, out=out)
         return out
 
-    def _add0(self, x, y0):
-        """Add the sub-digit value ``y0`` (``(n,)`` uint64) at digit 0."""
-        out = np.empty_like(x)
-        c = y0
-        for j in range(x.shape[-1]):
-            s = x[..., j] + c
-            out[..., j] = s & self.DMASK
-            c = s >> self.BBu
-        return out
+    def _addf(self, x, y, out=None, c=None, c2=None):
+        """Digit add (into ``out`` when given), carry out of the top
+        digit dropped."""
+        return self._carry_fix(np.add(x, y, out=out), c, c2)
 
     def _neg(self, x):
-        return self._add0(x ^ self.DMASK, _ONE)
+        out = x ^ self.DMASK
+        out[:, 0] += _ONE
+        return self._carry_fix(out)
 
     @staticmethod
     def _bitlen_digit(d):
@@ -365,26 +388,6 @@ class VectorCSKernel:
         np.bitwise_or(ws.lo, ws.hm, out=ws.lo)
         return ws.lo
 
-    def _carry_fix(self, out, c, c2):
-        """Fold per-digit carries upward until none remain (drops the
-        carry out of the top digit, i.e. works mod ``2^W``)."""
-        while c.any():
-            c2[:, 0] = 0
-            c2[:, 1:] = c[:, :-1]
-            np.add(out, c2, out=out)
-            np.right_shift(out, self.BBu, out=c)
-            np.bitwise_and(out, self.DMASK, out=out)
-
-    def _addf(self, x, y, out, c, c2):
-        """Digit add into ``out`` -- same result as :meth:`_add` but
-        carry-iteration instead of a D-long ripple (random digit sums
-        almost never produce second-order carries)."""
-        np.add(x, y, out=out)
-        np.right_shift(out, self.BBu, out=c)
-        np.bitwise_and(out, self.DMASK, out=out)
-        self._carry_fix(out, c, c2)
-        return out
-
     def products(self, cv, sig):
         """Full-width CS products ``(S, C)`` for every lane at once.
 
@@ -500,21 +503,21 @@ class VectorCSKernel:
     # -- operand collapse ------------------------------------------------
 
     def _collapse(self, cols):
-        """``(used, nonzero)``: each lane's ``a_used``/``c_used`` as a
-        sign-extended two's-complement window-digit array."""
-        n = cols["cls"].shape[0]
-        dec = ((cols["rs"] + cols["rc"]) & self.DMASK) >> self.BB1u
-        v = self._add(cols["m"], cols["mc"])
-        neg = (v[:, self.MD - 1] >> self.BB1u) & _ONE
-        ext = np.zeros((n, self.D), np.uint64)
-        ext[:, :self.MD] = v
-        ext[:, self.MD:] = np.where(neg.astype(bool), self.DMASK,
-                                    _U64(0))[:, None]
-        used = self._add0(ext, dec)
+        """``(used, nonzero)``: each lane's ``a_used``/``c_used`` (the
+        mantissa sum plus the deferred rounding decision) as a
+        sign-extended two's-complement window-digit array; zero for
+        lanes that are not normal."""
+        n, MD = cols["m"].shape
+        v = self._addf(cols["m"], cols["mc"])
+        used = np.empty((n, self.D), np.uint64)
+        used[:, :MD] = v
+        used[:, MD:] = np.where((v[:, MD - 1] >> self.BB1u).astype(bool),
+                                self.DMASK, _U64(0))[:, None]
+        used[:, 0] += ((cols["rs"] + cols["rc"]) & self.DMASK) >> self.BB1u
+        self._carry_fix(used)
         normal = cols["cls"] == CS_NORMAL
         used &= np.where(normal, self.DMASK, _U64(0))[:, None]
-        nonzero = normal & (used != 0).any(axis=1)
-        return used, nonzero
+        return used, normal & (used != 0).any(axis=1)
 
     # -- stages 2-8 of the datapath (shared by fma_lanes / dot chain) ---
 
@@ -553,7 +556,7 @@ class VectorCSKernel:
         below = p_nz & (p_pos < 0)
         if below.any():
             bi = np.flatnonzero(below)
-            pv = self._add(S[bi] & self.pmaskd, C[bi] & self.pmaskd)
+            pv = self._addf(S[bi] & self.pmaskd, C[bi] & self.pmaskd)
             pv &= self.pmaskd
             negb = ((pv[:, self.psign_digit] >> self.psign_bit)
                     & _ONE).astype(bool)
@@ -631,11 +634,26 @@ class VectorCSKernel:
                 & self.nmcmaskd, "m": m_sum, "mc": m_carry, "rs": r_sum,
                 "rc": r_carry, "e_r": e_r}
 
-    @staticmethod
-    def _check_stray(stray, active):
+    def _result(self, w, trivial, a):
+        """Classify :meth:`_window` output into result CS cols (the tail
+        shared by :meth:`fma_lanes` and the dot chain).  Active lanes are
+        normal, or overflow to INF / underflow to ZERO with the window
+        sign as hint; ``trivial`` lanes (no product, zero addend) are
+        ZERO and keep the hint of a ZERO addend ``a``."""
+        active = ~trivial & w["value_any"]
         # the scalar kernel's carry-plane assertion, batch granular
-        if (stray & np.where(active, ~_U64(0), _U64(0))[:, None]).any():
+        if (w["stray"] & np.where(active, ~_U64(0), _U64(0))[:, None]).any():
             raise AssertionError("carry bit outside the operand format")
+        e_r = w["e_r"]
+        overflow = active & (e_r > self.emax)
+        underflow = active & (e_r < self.emin)
+        normal = active & ~overflow & ~underflow
+        sh = np.where(overflow | underflow, w["vneg"].astype(np.int64), 0)
+        sh = np.where(trivial & (a["cls"] == CS_ZERO), a["sh"], sh)
+        return {"cls": np.where(normal, CS_NORMAL,
+                                np.where(overflow, CS_INF, CS_ZERO)),
+                "exp": e_r, "m": w["m"], "mc": w["mc"], "rs": w["rs"],
+                "rc": w["rc"], "sh": sh}
 
     # -- independent lanes (fma_batch) ----------------------------------
 
@@ -646,7 +664,6 @@ class VectorCSKernel:
         cu, c_nz = self._collapse(c)
         au, a_nz = self._collapse(a)
         p_nz = (b["cls"] == CS_NORMAL) & c_nz
-        trivial = ~p_nz & ~a_nz
         S = np.zeros((n, self.D), np.uint64)
         C = np.zeros((n, self.D), np.uint64)
         pidx = np.flatnonzero(p_nz)
@@ -656,81 +673,11 @@ class VectorCSKernel:
             if neg.any():
                 cv = np.where(neg[:, None], self._neg(cv), cv)
             S[pidx], C[pidx] = self.products(cv, b["sig"][pidx])
-        e_f = b["exp"] + c["exp"]
-        u = e_f - (self.bsig - 1) - self.frac
+        u = b["exp"] + c["exp"] - (self.bsig - 1) - self.frac
         w = self._window(S, C, u, p_nz, au, a_nz, a["exp"])
-        active = ~trivial & w["value_any"]
-        self._check_stray(w["stray"], active)
-        e_r = w["e_r"]
-        overflow = active & (e_r > self.emax)
-        underflow = active & (e_r < self.emin)
-        normal = active & ~overflow & ~underflow
-        cls = np.where(normal, CS_NORMAL,
-                       np.where(overflow, CS_INF, CS_ZERO))
-        vsign = w["vneg"].astype(np.int64)
-        sh = np.where(overflow | underflow, vsign, 0)
-        sh = np.where(trivial & (a["cls"] == CS_ZERO), a["sh"], sh)
-        nm = np.where(normal, self.DMASK, _U64(0))[:, None]
-        return {"cls": cls, "exp": np.where(normal, e_r, 0),
-                "m": w["m"] & nm, "mc": w["mc"] & nm,
-                "rs": np.where(normal, w["rs"], _U64(0)),
-                "rc": np.where(normal, w["rc"], _U64(0)), "sh": sh}
+        return self._result(w, ~p_nz & ~a_nz, a)
 
     # -- lifts / lowers --------------------------------------------------
-
-    def lift_cs_lanes(self, values, unit):
-        """CSFloat/FPValue sequence -> (cols, special mask)."""
-        from ..fma.formats import CSFloat
-
-        n = len(values)
-        cls = np.zeros(n, np.int64)
-        exp = np.zeros(n, np.int64)
-        sh = np.zeros(n, np.int64)
-        m = np.zeros((n, self.MD), np.uint64)
-        mc = np.zeros((n, self.MD), np.uint64)
-        rs = np.zeros(n, np.uint64)
-        rc = np.zeros(n, np.uint64)
-        special = np.zeros(n, bool)
-        BB = self.BB
-        dm = (1 << BB) - 1
-        kernel = self.kernel
-        for i, v in enumerate(values):
-            if isinstance(v, CSFloat):
-                t = kernel.lift_cs(v)
-            else:
-                t = kernel.lift_ieee(v)
-            cls[i] = t[0]
-            if t[0] == CS_NORMAL:
-                exp[i] = t[1]
-                ms, mcs = t[2], t[3]
-                for j in range(self.MD):
-                    m[i, j] = (ms >> (BB * j)) & dm
-                    mc[i, j] = (mcs >> (BB * j)) & dm
-                rs[i] = t[4]
-                rc[i] = t[5]
-            else:
-                sh[i] = t[6]
-                special[i] = t[0] in (CS_INF, CS_NAN)
-        return ({"cls": cls, "exp": exp, "m": m, "mc": mc, "rs": rs,
-                 "rc": rc, "sh": sh}, special)
-
-    def lift_b_lanes(self, values):
-        """IEEE ``B`` sequence -> (cols, special mask)."""
-        n = len(values)
-        cls = np.zeros(n, np.int64)
-        sign = np.zeros(n, np.uint64)
-        exp = np.zeros(n, np.int64)
-        sig = np.zeros(n, np.uint64)
-        special = np.zeros(n, bool)
-        for i, v in enumerate(values):
-            t = self.kernel.lift_b(v)
-            cls[i] = t[0]
-            sign[i] = t[1]
-            exp[i] = t[2]
-            sig[i] = t[3]
-            special[i] = t[0] in (CS_INF, CS_NAN)
-        return ({"cls": cls, "sign": sign, "exp": exp, "sig": sig},
-                special)
 
     def lower_lanes(self, cols):
         """CS cols -> list of internal kernel tuples."""
@@ -754,42 +701,7 @@ class VectorCSKernel:
                         int(rc[i]), 0))
         return out
 
-    # -- fused dot products, lanes in parallel --------------------------
-
-    def _dot_inputs(self, a_lanes, b_lanes):
-        """Stage the per-(step, lane) element planes for :meth:`dot_many`.
-
-        Returns ``None`` for lanes the chain does not model (non-finite
-        or non-binary64 elements) via the ``defer`` mask, plus padded
-        ``(T, N)`` element arrays and the precomputed full-width product
-        planes."""
-        N = len(a_lanes)
-        lens = np.array([len(a) for a in a_lanes], np.int64)
-        T = int(lens.max()) if N else 0
-        defer = np.zeros(N, bool)
-        asig = np.zeros((T, N), np.uint64)
-        asign = np.zeros((T, N), np.uint64)
-        aexp = np.zeros((T, N), np.int64)
-        bsig = np.zeros((T, N), np.uint64)
-        bsign = np.zeros((T, N), np.uint64)
-        bexp = np.zeros((T, N), np.int64)
-        one = 1 << 52
-        for i, (av, bv) in enumerate(zip(a_lanes, b_lanes)):
-            for t, (ai, bi) in enumerate(zip(av, bv)):
-                if (ai.fmt is not BINARY64 or bi.fmt is not BINARY64
-                        or ai.cls not in (FpClass.NORMAL, FpClass.ZERO)
-                        or bi.cls not in (FpClass.NORMAL, FpClass.ZERO)):
-                    defer[i] = True
-                    break
-                if ai.cls is FpClass.NORMAL:
-                    asig[t, i] = ai.fraction | one
-                    asign[t, i] = ai.sign
-                    aexp[t, i] = ai.biased_exponent - 1023
-                if bi.cls is FpClass.NORMAL:
-                    bsig[t, i] = bi.fraction | one
-                    bsign[t, i] = bi.sign
-                    bexp[t, i] = bi.biased_exponent - 1023
-        return lens, T, defer, asig, asign, aexp, bsig, bsign, bexp
+    # -- fused dot products ---------------------------------------------
 
     def _dot_products(self, asig, asign, bsig, bsign):
         """Precompute every step's full-width product planes.
@@ -825,61 +737,6 @@ class VectorCSKernel:
         return (S.reshape(T, N, self.D), C.reshape(T, N, self.D),
                 flat_p.reshape(T, N))
 
-    def _dot_run(self, lens, defer, planes, scalar_cb):
-        """Shared chain driver for :meth:`dot_many` / :meth:`dot_many_words`:
-        products, the sequential window chain, and scalar redo of
-        deferred/overflowed lanes via ``scalar_cb(i)``."""
-        asig, asign, aexp, bsig, bsign, bexp = planes
-        N = lens.shape[0]
-        T = asig.shape[0]
-        if T == 0:
-            defer = np.ones(N, bool)    # all-empty dots: trivial scalar
-        n_spec = int(defer.sum())
-        out = [None] * N
-        live = np.flatnonzero(~defer)
-        if live.size and T:
-            if defer.any():
-                sub = (asig[:, live], asign[:, live], aexp[:, live],
-                       bsig[:, live], bsign[:, live], bexp[:, live])
-                asig, asign, aexp, bsig, bsign, bexp = sub
-            S_all, C_all, p_all = self._dot_products(asig, asign, bsig,
-                                                     bsign)
-            u_all = (aexp + bexp - (self.bsig - 1) - self.frac)
-            res = self._dot_chain(lens[live], S_all, C_all, p_all, u_all)
-            tuples, dead = res
-            for k, i in enumerate(live):
-                if dead[k]:
-                    defer[i] = True
-                else:
-                    out[i] = tuples[k]
-        tm = _tm.ACTIVE
-        if tm is not None:
-            n_def = int(defer.sum())
-            tm.count("batch.vector.lanes", N - n_def)
-            if n_def:
-                tm.count("batch.vector.deferred", n_def)
-                if n_spec:
-                    tm.count("batch.vector.deferred.special", n_spec)
-                if n_def - n_spec:
-                    tm.count("batch.vector.deferred.window-overflow",
-                             n_def - n_spec)
-        for i in np.flatnonzero(defer):
-            out[i] = scalar_cb(int(i))
-        return out
-
-    def dot_many(self, a_lanes, b_lanes):
-        """Independent fused dot products, one lane per row; returns a
-        list of internal accumulator tuples, each bit-identical to
-        :meth:`FastCSKernel.dot_tuple` on the same lane."""
-        N = len(a_lanes)
-        if N == 0:
-            return []
-        (lens, T, defer, asig, asign, aexp, bsig, bsign,
-         bexp) = self._dot_inputs(a_lanes, b_lanes)
-        return self._dot_run(
-            lens, defer, (asig, asign, aexp, bsig, bsign, bexp),
-            lambda i: self.kernel.dot_tuple(a_lanes[i], b_lanes[i]))
-
     def _word_planes(self, w, live):
         """Classify one ``(T, N)`` word plane: ``(sig, sign, exp,
         special)`` with subnormals flushed to signed zero (the loader
@@ -894,12 +751,14 @@ class VectorCSKernel:
         return sig, sign, exp, spec
 
     def dot_many_words(self, a_words, b_words, lens=None):
-        """:meth:`dot_many` over padded ``(T, N)`` binary64 bit-word
-        planes (step-major -- the serve wire format, fully vectorized
-        staging).  Lane ``i`` consumes the first ``lens[i]`` steps; the
-        result is bit-identical to ``dot_tuple`` over ``word_to_fp`` of
-        each element (subnormal encodings flush to signed zero, lanes
-        containing Inf/NaN defer to the scalar kernel)."""
+        """Independent fused dot products over padded ``(T, N)`` binary64
+        bit-word planes (step-major -- the serve wire format, fully
+        vectorized staging).  Lane ``i`` consumes the first ``lens[i]``
+        steps.  Returns one internal accumulator tuple per lane,
+        bit-identical to :meth:`FastCSKernel.dot_tuple` over
+        ``word_to_fp`` of each element (subnormal encodings flush to
+        signed zero); lanes holding Inf/NaN and lanes whose accumulator
+        overflows re-run on ``dot_tuple``."""
         a_words = np.ascontiguousarray(a_words, np.uint64)
         b_words = np.ascontiguousarray(b_words, np.uint64)
         if a_words.shape != b_words.shape or a_words.ndim != 2:
@@ -907,99 +766,67 @@ class VectorCSKernel:
         T, N = a_words.shape
         if N == 0:
             return []
-        if lens is None:
-            lens = np.full(N, T, np.int64)
-        else:
-            lens = np.asarray(lens, np.int64)
+        lens = (np.full(N, T, np.int64) if lens is None
+                else np.asarray(lens, np.int64))
         step_live = np.arange(T, dtype=np.int64)[:, None] < lens[None, :]
         asig, asign, aexp, spec_a = self._word_planes(a_words, step_live)
         bsig, bsign, bexp, spec_b = self._word_planes(b_words, step_live)
-        defer = (spec_a | spec_b).any(axis=0)
-
-        def scalar_cb(i):
+        redo = (spec_a | spec_b).any(axis=0)
+        n_spec = int(redo.sum())
+        live = np.flatnonzero(~redo)
+        if n_spec:
+            asig, asign, aexp, bsig, bsign, bexp = (
+                p[:, live] for p in (asig, asign, aexp, bsig, bsign, bexp))
+        S_all, C_all, p_all = self._dot_products(asig, asign, bsig, bsign)
+        u_all = aexp + bexp - (self.bsig - 1) - self.frac
+        cols, overflow = self._dot_chain(lens[live], S_all, C_all, p_all,
+                                         u_all)
+        redo[live] = overflow
+        out = [None] * N
+        for i, t in zip(live.tolist(), self.lower_lanes(cols)):
+            out[i] = t
+        count_lanes(N, {"special": n_spec,
+                        "window-overflow": int(redo.sum()) - n_spec})
+        if redo.any():
             from ..serve.protocol import word_to_fp
-            L = int(lens[i])
-            av = [word_to_fp(int(a_words[t, i])) for t in range(L)]
-            bv = [word_to_fp(int(b_words[t, i])) for t in range(L)]
-            return self.kernel.dot_tuple(av, bv)
 
-        return self._dot_run(
-            lens, defer, (asig, asign, aexp, bsig, bsign, bexp),
-            scalar_cb)
+            for i in np.flatnonzero(redo):
+                L = int(lens[i])
+                out[i] = self.kernel.dot_tuple(
+                    [word_to_fp(int(w)) for w in a_words[:L, i]],
+                    [word_to_fp(int(w)) for w in b_words[:L, i]])
+        return out
 
     def _dot_chain(self, lens, S_all, C_all, p_all, u_all):
-        """The sequential accumulator chain over vectorized lanes."""
+        """The sequential accumulator chain ``acc = fma(acc, a_t, b_t)``
+        over vectorized lanes, the accumulator kept as CS cols.  Returns
+        each lane's final cols and the lanes that overflowed (the caller
+        re-runs those on the tuple kernel)."""
         T, n = p_all.shape
-        D, MD = self.D, self.MD
-        au = np.zeros((n, D), np.uint64)
-        a_nz = np.zeros(n, bool)
-        a_zero_cls = np.ones(n, bool)       # accumulator class is ZERO
-        a_sh = np.zeros(n, np.int64)
-        a_exp = np.zeros(n, np.int64)
-        dead = np.zeros(n, bool)            # overflowed -> scalar redo
-        fin_cls = np.zeros(n, np.int64)
-        fin_exp = np.zeros(n, np.int64)
-        fin_sh = np.zeros(n, np.int64)
-        fin_m = np.zeros((n, MD), np.uint64)
-        fin_mc = np.zeros((n, MD), np.uint64)
-        fin_rs = np.zeros(n, np.uint64)
-        fin_rc = np.zeros(n, np.uint64)
+        acc = {"cls": np.zeros(n, np.int64), "exp": np.zeros(n, np.int64),
+               "m": np.zeros((n, self.MD), np.uint64),
+               "mc": np.zeros((n, self.MD), np.uint64),
+               "rs": np.zeros(n, np.uint64), "rc": np.zeros(n, np.uint64),
+               "sh": np.zeros(n, np.int64)}
+        final = {k: v.copy() for k, v in acc.items()}  # empty lanes: ZERO
+        overflow = np.zeros(n, bool)
         for t in range(T):
-            upd = (t < lens) & ~dead
+            # finished and overflowed lanes run as trivial (ZERO) steps
+            upd = (t < lens) & ~overflow
             if not upd.any():
                 break
+            au, a_nz = self._collapse(acc)
+            a_nz &= upd
             p_nz = p_all[t] & upd
-            w = self._window(S_all[t], C_all[t], u_all[t], p_nz, au,
-                             a_nz, a_exp)
-            trivial = ~p_nz & ~a_nz
-            active = ~trivial & w["value_any"]
-            self._check_stray(w["stray"], active & upd)
-            e_r = w["e_r"]
-            overflow = active & (e_r > self.emax)
-            underflow = active & (e_r < self.emin)
-            normal = active & ~overflow & ~underflow
-            vsign = w["vneg"].astype(np.int64)
-            dead |= overflow & upd
-            # next accumulator state (a_used = signed mant sum + dec)
-            vm = self._add(w["m"], w["mc"])
-            dec = ((w["rs"] + w["rc"]) & self.DMASK) >> self.BB1u
-            neg = (vm[:, MD - 1] >> self.BB1u).astype(bool)
-            ws = self._ws(n)
-            au_new = ws.aun
-            au_new[:, :MD] = vm
-            au_new[:, MD:] = np.where(neg, self.DMASK, _U64(0))[:, None]
-            au_new[:, 0] += dec
-            np.right_shift(au_new, self.BBu, out=ws.c1)
-            np.bitwise_and(au_new, self.DMASK, out=au_new)
-            self._carry_fix(au_new, ws.c1, ws.c2)
-            sel = (upd & normal)[:, None]
-            au = np.where(sel, au_new, au)
-            au &= np.where(upd & ~normal, _U64(0), self.DMASK)[:, None]
-            a_exp = np.where(upd & normal, e_r, np.where(upd, 0, a_exp))
-            new_sh = np.where(trivial & a_zero_cls, a_sh,
-                              np.where(underflow, vsign, 0))
-            a_sh = np.where(upd, new_sh, a_sh)
-            a_zero_cls = np.where(upd, ~normal, a_zero_cls)
-            a_nz = np.where(upd, normal & (au_new != 0).any(axis=1),
-                            a_nz)
-            fin = upd & (t == lens - 1)
+            w = self._window(S_all[t], C_all[t], u_all[t], p_nz, au, a_nz,
+                             acc["exp"])
+            acc = self._result(w, ~p_nz & ~a_nz, acc)
+            overflow |= acc["cls"] == CS_INF
+            fin = upd & (lens == t + 1)
             if fin.any():
-                fcls = np.where(normal, CS_NORMAL,
-                                np.where(overflow, CS_INF, CS_ZERO))
-                fin_cls = np.where(fin, fcls, fin_cls)
-                fin_exp = np.where(fin & normal, e_r, fin_exp)
-                fin_sh = np.where(fin, new_sh, fin_sh)
-                fsel = (fin & normal)[:, None]
-                fin_m = np.where(fsel, w["m"], fin_m)
-                fin_mc = np.where(fsel, w["mc"], fin_mc)
-                fin_rs = np.where(fin & normal, w["rs"], fin_rs)
-                fin_rc = np.where(fin & normal, w["rc"], fin_rc)
-        cols = {"cls": fin_cls, "exp": fin_exp, "m": fin_m,
-                "mc": fin_mc, "rs": fin_rs, "rc": fin_rc, "sh": fin_sh}
-        zero_len = lens == 0
-        if zero_len.any():
-            cols["cls"] = np.where(zero_len, CS_ZERO, cols["cls"])
-        return self.lower_lanes(cols), dead
+                for k, v in acc.items():
+                    final[k][fin] = v[fin]
+        return final, overflow
 
     # -- single-dot hybrid ----------------------------------------------
 
@@ -1007,21 +834,29 @@ class VectorCSKernel:
         """One fused dot product: the products (the dominant cost of the
         tuple chain) run vectorized across all steps; the ~35-op window
         recurrence stays scalar via product injection into
-        :meth:`FastCSKernel.fma`.  Bit-identical to ``dot_tuple``."""
+        :meth:`FastCSKernel.fma`.  Bit-identical to ``dot_tuple``, which
+        runs dots holding NaN/Inf or non-binary64 elements instead."""
         kernel = self.kernel
-        res = self._dot_inputs([a], [b])
-        lens, T, defer, asig, asign, aexp, bsig, bsign, bexp = res
-        if defer[0] or T == 0:
+        ok = (FpClass.NORMAL, FpClass.ZERO)
+        if not a or any(x.fmt is not BINARY64 or x.cls not in ok
+                        for x in (*a, *b)):
             return kernel.dot_tuple(a, b)
-        S_all, C_all, p_all = self._dot_products(asig, asign, bsig,
-                                                 bsign)
+        one = 1 << 52
+
+        def planes(xs):
+            sig = [x.fraction | one if x.cls is FpClass.NORMAL else 0
+                   for x in xs]
+            return (np.array(sig, np.uint64)[:, None],
+                    np.array([x.sign for x in xs], np.uint64)[:, None])
+
+        S_all, C_all, p_all = self._dot_products(*planes(a), *planes(b))
+        T = len(a)
         BB = self.BB
         D = self.D
         fma = kernel.fma
         acc = (CS_ZERO, 0, 0, 0, 0, 0, 0)
         mmask = kernel.mmask
         shift = kernel.ieee_shift
-        one = 1 << 52
         # one wholesale ndarray -> Python-int conversion (tolist) beats
         # T*D np-scalar ``int()`` calls by a wide margin
         S_rows = S_all[:, 0, :].tolist()
@@ -1088,71 +923,3 @@ class VectorCSKernel:
               "rc": zlane.copy(), "sh": sign.astype(np.int64)}
         bcols = {"cls": cls, "sign": sign, "exp": exp, "sig": sig}
         return cs, bcols, (is_nan | is_inf)
-
-    def pack_words(self, cols):
-        """CS cols -> binary64 bit patterns; bit-identical to
-        ``fp_to_word(cs_to_ieee(lower(t)))`` per lane.
-
-        The integer pack/round twin of the Fraction-based converter:
-        ``V = (mant_signed << block) + round_frac`` rounded to 53
-        significand bits (nearest-even), overflow to infinity, flush to
-        zero below the normal range."""
-        n = cols["cls"].shape[0]
-        VD, MD, BB = self.VD, self.MD, self.BB
-        vm = self._add(cols["m"], cols["mc"])
-        rfrac = (cols["rs"] + cols["rc"]) & self.DMASK
-        neg = (vm[:, MD - 1] >> self.BB1u).astype(bool)
-        V = np.zeros((n, VD), np.uint64)
-        V[:, 0] = rfrac
-        V[:, 1:MD + 1] = vm
-        V[:, MD + 1] = np.where(neg, self.DMASK, _U64(0))
-        mag = np.where(neg[:, None], self._neg(V), V)
-        vzero = ~(mag != 0).any(axis=1)
-        bl = self._bitlen(mag)
-        e2 = cols["exp"] - self.frac - BB
-        e = bl - 1 + e2
-        drop = bl - 1 - self.fbits
-        # sig = bits [drop, drop+53) of mag; drop <= 0 only when the
-        # whole value fits below 53 bits (then shift left, exact)
-        sig_digits = self._shift(mag, -np.maximum(drop, 0))
-        sig = sig_digits[:, 0]
-        for j in range(1, VD):
-            sh = BB * j
-            if sh >= 64:
-                break
-            sig |= sig_digits[:, j] << _U64(sh)
-        sig = np.where(drop <= 0,
-                       (sig << np.maximum(-drop, 0).astype(np.uint64))
-                       & _U64((1 << 54) - 1), sig)
-        # nearest-even increment from the round bit + sticky tail
-        dm1 = drop - 1
-        qd = np.clip(dm1 // BB, 0, VD - 1)
-        rb = np.clip(dm1 - qd * BB, 0, BB - 1).astype(np.uint64)
-        rbit = (np.take_along_axis(mag, qd[:, None].astype(np.intp),
-                                   1)[:, 0] >> rb) & _ONE
-        tail = np.clip(dm1[:, None] - np.arange(VD) * BB, 0,
-                       BB).astype(np.uint64)
-        sticky = ((mag & ((_ONE << tail) - _ONE)) != 0).any(axis=1)
-        inc = (drop > 0) & (rbit == 1) & (sticky | ((sig & _ONE) == 1))
-        sig = sig + inc.astype(np.uint64)
-        wide = (sig >> np.uint64(53)) == 1
-        sig = np.where(wide, sig >> _ONE, sig)
-        e = np.where(wide, e + 1, e)
-        be = e + 1023
-        sign = neg.astype(np.uint64)
-        word = ((sign << np.uint64(63))
-                | (np.where(be > 0, be, 0).astype(np.uint64)
-                   << np.uint64(52))
-                | (sig & self.fmask))
-        word = np.where(be > 0x7FE, (sign << np.uint64(63))
-                        | _U64(0x7FF0000000000000), word)
-        word = np.where(be < 1, sign << np.uint64(63), word)
-        word = np.where(vzero, _U64(0), word)
-        # non-normal classes
-        cls = cols["cls"]
-        shs = cols["sh"].astype(np.uint64) << np.uint64(63)
-        word = np.where(cls == CS_ZERO, shs, word)
-        word = np.where(cls == CS_INF, shs | _U64(0x7FF0000000000000),
-                        word)
-        word = np.where(cls == CS_NAN, _U64(0x7FF8000000000000), word)
-        return word

@@ -32,7 +32,9 @@ carrying the resilient error record's ``kind``.
 
 from __future__ import annotations
 
-from ..batch import dot_batch, fma_batch
+import numpy as np
+
+from ..batch import dot_batch, fma_batch, select_engine, vector_kernel_for
 from ..fma.accumulator import PcsAccumulator
 from ..fma.classic import ClassicFmaUnit
 from ..fma.convert import cs_to_ieee, ieee_to_cs
@@ -89,27 +91,11 @@ def _exec_fma(fmt: str, items, use_batch: bool,
     return [("ok", fp_to_word(cs_to_ieee(r))) for r in results]
 
 
-#: below this lane count the vector dot engine's per-step ndarray
-#: overhead loses to per-lane tuple evaluation, so the payload falls
-#: through to :func:`repro.batch.dot_batch` (which dispatches per lane).
-VECTOR_MIN_DOT_LANES = 32
-
-
-def _exec_dot_vector(unit, items) -> "list | None":
+def _exec_dot_vector(unit, items) -> list:
     """Whole-payload vector evaluation of a coalesced dot batch: the
     word vectors go straight into :meth:`VectorCSKernel.dot_many_words`
-    (no per-element ``word_to_fp``).  ``None`` -> caller falls through
-    to the per-lane path (vector unavailable or armed probes/guard)."""
-    from .. import probes
-    from ..guard import residue as _gd
-
-    if probes.ARMED is not None or _gd.ACTIVE is not None:
-        return None
-    from ..batch.vector import np, vector_kernel_for
-
+    (no per-element ``word_to_fp``)."""
     vk = vector_kernel_for(unit)
-    if vk is None:
-        return None
     lens = [len(aw) for aw, _bw, _c in items]
     T = max(lens)
     N = len(items)
@@ -127,16 +113,9 @@ def _exec_dot_vector(unit, items) -> "list | None":
 def _exec_dot(fmt: str, items, use_batch: bool,
               backend: str | None = None) -> list:
     unit = _units()[fmt]
-    if use_batch and items:
-        from ..batch.engines import requested_backend, resolve_backend
-
-        requested = requested_backend(backend)
-        if (resolve_backend(requested) == "vector"
-                and (requested == "vector"
-                     or len(items) >= VECTOR_MIN_DOT_LANES)):
-            out = _exec_dot_vector(unit, items)
-            if out is not None:
-                return out
+    if items and select_engine("dot-lanes", unit, len(items), backend,
+                               use_batch) == "vector":
+        return _exec_dot_vector(unit, items)
     out = []
     for aw, bw, _c in items:
         a = [word_to_fp(w) for w in aw]

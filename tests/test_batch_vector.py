@@ -3,22 +3,28 @@
 The tentpole claim of :mod:`repro.batch.vector` is that the lane engine
 is **bit-identical** to the tuple fast kernel (and therefore to the
 faithful models) for every lane it accepts, and that every lane it
-cannot accept -- specials, CS operands, armed probes/guard, subnormal
-window edges -- is routed to the scalar kernel rather than approximated.
-This module pins that claim three ways:
+cannot accept -- specials, CS operands, non-binary64 operands, armed
+probes/guard, subnormal window edges -- is routed to the scalar kernel
+rather than approximated.  This module pins that claim four ways:
 
 * the 298-vector golden corpus (``tests/vectors/fma_hard_cases.json``)
   through ``backend="vector"``, compared word-for-word against both the
   committed expectations and ``backend="tuple"``;
 * seeded Hypothesis lane batches over the binary64 word grid
   (specials and subnormal encodings included);
+* binary32 / extended68 fma lanes against the faithful unit;
 * armed-probe / armed-guard fallback equivalence, with the telemetry
   counters proving the fallback actually engaged.
+
+The dispatch tests drive :func:`repro.batch.select_engine` through every
+input it reads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import random
 import struct
 from pathlib import Path
 
@@ -27,11 +33,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import probes
-from repro.batch import (BACKENDS, dot_batch, fma_batch, resolve_backend,
+from repro.batch import (BACKENDS, dot_batch, fma_batch, select_engine,
                          vector_kernel_for)
 from repro.batch.engines import BACKEND_ENV
 from repro.fma import FcsFmaUnit, PcsFmaUnit, cs_to_ieee
-from repro.fp import BINARY64, FPValue
+from repro.fp import BINARY32, BINARY64, EXTENDED68, FPValue
 from repro.guard.residue import guarding
 from repro.telemetry import collecting
 
@@ -40,6 +46,10 @@ CASES = json.loads(VECTORS.read_text())["cases"]
 
 UNITS = [PcsFmaUnit(), FcsFmaUnit()]
 unit_ids = ["pcs", "fcs"]
+
+#: crossovers of ``select_engine`` under ``auto`` (docs/PERFORMANCE.md)
+FMA_LANES, DOT_LEN, DOT_LANES = 576, 768, 56
+
 
 def from_word(word: int) -> FPValue:
     x = struct.unpack("<d", struct.pack("<Q", word))[0]
@@ -163,6 +173,52 @@ def test_dot_hybrid_bit_identical(pairs, unit_id):
 
 
 # ---------------------------------------------------------------------------
+# non-binary64 operands
+
+
+def _random_value(rng, fmt):
+    return FPValue.from_parts(fmt, rng.getrandbits(1),
+                              fmt.bias + rng.randint(-8, 8),
+                              rng.getrandbits(fmt.fraction_bits))
+
+
+class TestNonBinary64Lanes:
+    """The lane engine lifts binary64 words only; ``fma_batch`` lanes in
+    other IEEE formats re-run on the tuple kernel instead of being
+    packed as binary64 words."""
+
+    @pytest.mark.parametrize("fmt", [BINARY32, EXTENDED68],
+                             ids=["binary32", "extended68"])
+    @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)
+    def test_pinned_and_auto_match_faithful(self, monkeypatch, unit, fmt):
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        rng = random.Random(f"{unit.name}-{fmt.name}")
+        # B is the multiplier's IEEE port: at most binary64 precision
+        b_fmt = BINARY32 if fmt is BINARY32 else BINARY64
+        n = FMA_LANES
+        a = [_random_value(rng, fmt) for _ in range(n)]
+        b = [_random_value(rng, b_fmt) for _ in range(n)]
+        c = [_random_value(rng, fmt) for _ in range(n)]
+        a[0], b[0], c[0] = (FPValue.from_float(1.5, fmt),
+                            FPValue.from_float(2.25, b_fmt),
+                            FPValue.from_float(-0.75, fmt))
+        for i in range(1, n, 2):      # interleave plain binary64 lanes
+            a[i], b[i], c[i] = (_random_value(rng, BINARY64)
+                                for _ in range(3))
+        ref = fma_batch(a, b, c, unit=unit, use_batch=False)
+        ref_words = [word_of(cs_to_ieee(r)) for r in ref]
+        for backend, size in (("vector", 16), ("auto", n)):
+            with collecting() as t:
+                got = fma_batch(a[:size], b[:size], c[:size], unit=unit,
+                                backend=backend)
+            assert [word_of(cs_to_ieee(r)) for r in got] == ref_words[:size]
+            assert got == ref[:size]
+            counters = t.snapshot().counters
+            assert counters["batch.vector.deferred.non-binary64"] == size // 2
+            assert counters["batch.vector.lanes"] == size // 2
+
+
+# ---------------------------------------------------------------------------
 # armed fallback equivalence
 
 
@@ -212,14 +268,22 @@ class TestArmedFallback:
         assert word_of(plain) == word_of(guarded)
 
     def test_serve_vector_path_declines_when_armed(self):
-        from repro.serve.executor import _exec_dot_vector, _units
+        from repro.serve.executor import _units, execute_payload
 
         unit = _units()["pcs"]
-        items = [([w, w], [w, w], None)
-                 for w in [0x3FF0000000000000] * 40]
-        assert _exec_dot_vector(unit, items) is not None
-        with probes.armed({"test.never-fired": probes.Arm(lambda v: v)}):
-            assert _exec_dot_vector(unit, items) is None
+        w = 0x3FF0000000000000
+        payload = {"op": "dot", "fmt": "pcs", "backend": "vector",
+                   "items": [([w, w], [w, w], None)] * 40}
+        assert select_engine("dot-lanes", unit, 40, "vector") == "vector"
+        plain = execute_payload(payload)
+        with collecting() as t:
+            with probes.armed({"test.never-fired": probes.Arm(lambda v: v)}):
+                assert select_engine("dot-lanes", unit, 40,
+                                     "vector") == "tuple"
+                armed_out = execute_payload(payload)
+        counters = t.snapshot().counters
+        assert counters.get("batch.vector.lanes", 0) == 0
+        assert armed_out == plain
 
 
 # ---------------------------------------------------------------------------
@@ -246,32 +310,84 @@ class TestVectorTelemetry:
 # backend dispatch
 
 
+def _case(case_id, op, size, backend, env=None, use_batch=True,
+          strict=False, arm=None, engine="vector", reason=None):
+    return pytest.param(op, size, backend, env, use_batch, strict, arm,
+                        engine, reason, id=case_id)
+
+
+SELECT_CASES = [
+    _case("use-batch-off", "fma", 4096, "vector", use_batch=False,
+          arm="probes", engine="faithful"),
+    _case("strict-unit", "dot", 4096, "vector", strict=True,
+          arm="guard", engine="faithful"),
+    _case("explicit-tuple", "fma", 4096, "tuple", env="vector",
+          engine="tuple"),
+    _case("explicit-tuple-armed", "fma", 4096, "tuple", arm="guard",
+          engine="tuple"),
+    _case("explicit-faithful", "dot", 4096, "faithful", engine="faithful"),
+    _case("explicit-auto-beats-env", "fma", FMA_LANES, "auto",
+          env="tuple"),
+    _case("env-tuple", "dot", 4096, None, env="tuple", engine="tuple"),
+    _case("env-vector-pins", "fma", 1, None, env="vector"),
+    _case("auto-default", "dot", 4096, None),
+    _case("armed-probes", "fma", 4096, "auto", arm="probes",
+          engine="tuple", reason="armed-probes"),
+    _case("armed-probes-small", "fma", 1, "auto", arm="probes",
+          engine="tuple", reason="armed-probes"),
+    _case("armed-guard-pinned", "dot-lanes", 4096, "vector", arm="guard",
+          engine="tuple", reason="armed-guard"),
+    _case("fma-below", "fma", FMA_LANES - 1, "auto", engine="tuple",
+          reason="small-batch"),
+    _case("fma-at", "fma", FMA_LANES, "auto"),
+    _case("dot-below", "dot", DOT_LEN - 1, "auto", engine="tuple",
+          reason="small-batch"),
+    _case("dot-at", "dot", DOT_LEN, "auto"),
+    _case("dot-lanes-below", "dot-lanes", DOT_LANES - 1, None,
+          engine="tuple", reason="small-batch"),
+    _case("dot-lanes-at", "dot-lanes", DOT_LANES, None),
+    _case("pin-below", "dot", 1, "vector"),
+]
+
+
 class TestBackendDispatch:
     def test_backend_universe(self):
         assert BACKENDS == ("auto", "vector", "tuple", "faithful")
 
-    def test_auto_prefers_vector(self):
-        assert resolve_backend("auto") == "vector"
-        assert resolve_backend("vector") == "vector"
-        assert resolve_backend("tuple") == "tuple"
-        assert resolve_backend("faithful") == "faithful"
-
-    def test_default_reads_environment(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend() == "vector"
-        monkeypatch.setenv(BACKEND_ENV, "tuple")
-        assert resolve_backend() == "tuple"
-        # explicit argument beats the environment
-        assert resolve_backend("vector") == "vector"
+    @pytest.mark.parametrize(
+        "op, size, backend, env, use_batch, strict, arm, engine, reason",
+        SELECT_CASES)
+    def test_select_engine(self, monkeypatch, op, size, backend, env,
+                           use_batch, strict, arm, engine, reason):
+        """Every input of the one engine-selection seam gives the
+        expected engine and counts exactly its one fallback reason."""
+        if env is None:
+            monkeypatch.delenv(BACKEND_ENV, raising=False)
+        else:
+            monkeypatch.setenv(BACKEND_ENV, env)
+        unit = PcsFmaUnit(strict=strict)
+        arming = {None: contextlib.nullcontext,
+                  "probes": lambda: probes.armed(
+                      {"test.never-fired": probes.Arm(lambda v: v)}),
+                  "guard": guarding}[arm]
+        with collecting() as t:
+            with arming():
+                got = select_engine(op, unit, size, backend, use_batch)
+        fallbacks = {k: v for k, v in t.snapshot().counters.items()
+                     if k.startswith("batch.vector.fallback")}
+        assert got == engine
+        assert fallbacks == ({} if reason is None else {
+            "batch.vector.fallback": 1,
+            f"batch.vector.fallback.{reason}": 1})
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("simd")
+            select_engine("fma", UNITS[0], 8, "simd")
 
     def test_env_typo_rejected(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "vectr")
         with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend()
+            select_engine("fma", UNITS[0], 8)
 
     @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)
     def test_backends_agree_on_small_batch(self, unit):
@@ -321,7 +437,7 @@ class TestServeVectorDot:
         words_a = [int(c["a"], 16) for c in CASES]
         words_b = [int(c["b"], 16) for c in CASES]
         items = [(words_a[i:i + 6], words_b[i:i + 6], None)
-                 for i in range(0, 240, 6)]       # 40 lanes >= threshold
+                 for i in range(0, 240, 6)]       # 40 lanes, pinned
         vec = execute_payload({"op": "dot", "fmt": "pcs", "items": items,
                                "backend": "vector"})
         tup = execute_payload({"op": "dot", "fmt": "pcs", "items": items,
