@@ -27,9 +27,9 @@ from repro.fma import FcsFmaUnit, PcsFmaUnit
 from repro.serve.executor import execute_payload
 from repro.serve.protocol import word_to_fp
 
-SIZES = {"dot": (512, 640, 768, 1024, 2048),
-         "dot-lanes": (32, 48, 56, 64, 128),
-         "fma": (512, 576, 640, 768, 1024)}
+SIZES = {"dot": (768, 1024, 1280, 1536, 1792, 2048),
+         "dot-lanes": (56, 64, 72, 80, 96, 128),
+         "fma": (576, 768, 832, 896, 960, 1024)}
 
 
 def _word(rng: random.Random) -> int:

@@ -67,8 +67,8 @@ def select_engine(op: str, unit: CSFmaUnit, size: int,
         reason = "armed-probes"
     elif _gd.ACTIVE is not None:
         reason = "armed-guard"
-    elif backend == "auto" and size < {"fma": 576, "dot": 768,
-                                       "dot-lanes": 56}[op]:
+    elif backend == "auto" and size < {"fma": 768, "dot": 1280,
+                                       "dot-lanes": 72}[op]:
         reason = "small-batch"
     else:
         return "vector"
@@ -194,7 +194,10 @@ def dot_batch(a: Sequence[FPValue], b: Sequence[FPValue],
     Bit-identical to
     :meth:`repro.fma.dotprod.FusedDotProductUnit.dot` on the same unit:
     the accumulator stays in the unit's carry-save operand format and is
-    normalized back to IEEE once at the end.  ``backend`` as in
+    normalized back to IEEE once at the end (by the kernel's integer
+    :meth:`~repro.batch.cskernel.FastCSKernel.to_ieee` on the fast
+    engines, by :func:`~repro.fma.convert.cs_to_ieee` on the faithful
+    one).  ``backend`` as in
     :func:`fma_batch`; the vector engine runs the product trees for all
     steps as one ndarray pass (:meth:`VectorCSKernel.dot_hybrid`).
     """
@@ -221,7 +224,7 @@ def dot_batch(a: Sequence[FPValue], b: Sequence[FPValue],
             acc = vector_kernel_for(unit).dot_hybrid(a, b)
         else:
             acc = kernel.dot_tuple(a, b)
-    return cs_to_ieee(kernel.lower(acc))
+    return kernel.to_ieee(acc)
 
 
 def accumulate_batch(a: Sequence[FPValue], b: Sequence[FPValue],

@@ -19,7 +19,10 @@ faithful path:
   quantity :func:`repro.cs.zero_detect.count_skippable_blocks` searches
   for block by block;
 * the FCS leading-zero anticipator is inlined (same Schmookler-style
-  indicator as :func:`repro.cs.lza.lza_estimate`).
+  indicator as :func:`repro.cs.lza.lza_estimate`);
+* results leave as binary64 through :meth:`FastCSKernel.to_ieee`, an
+  integer twin of :func:`repro.fma.convert.cs_to_ieee` (no ``CSFloat``,
+  no ``Fraction``).
 
 The equivalence arguments (and the differential tests backing them) live
 in ``tests/test_batch_differential.py``; the faithful scalar unit remains
@@ -42,13 +45,17 @@ from ..guard import residue as _gd
 from ..telemetry import core as _tm
 from ..fma.formats import CSFloat, CSFmaParams
 from ..fp.formats import BINARY64
+from ..fp.rounding import RoundingMode
 from ..fp.value import FpClass, FPValue
+from .ieee_fast import round_to_format
 from .trees import tree_depth, tree_fn
 
 __all__ = ["FastCSKernel", "kernel_for", "bit_positions",
            "CS_ZERO", "CS_NORMAL", "CS_INF", "CS_NAN"]
 
 CS_ZERO, CS_NORMAL, CS_INF, CS_NAN = 0, 1, 2, 3
+
+_NEAREST = RoundingMode.NEAREST_EVEN
 
 _KERNELS: dict[tuple[int, str, bool], "FastCSKernel"] = {}
 
@@ -69,14 +76,38 @@ def kernel_for(unit: CSFmaUnit) -> "FastCSKernel | None":
     return k
 
 
+def _byte_row(k: int) -> tuple:
+    return tuple(tuple(8 * k + i for i in range(8) if v >> i & 1)
+                 for v in range(256))
+
+
+#: ``_BYTE_ROWS[k][v]``: the set-bit positions of byte value ``v`` at
+#: byte ``k`` of a word (bits ``8k .. 8k+7``).  Built for 64-bit words
+#: (every binary64 significand) so concurrent first calls never race to
+#: build it; a wider word grows it by swapping in a whole new tuple, so
+#: a concurrent reader never sees a partial table.
+_BYTE_ROWS: tuple = tuple(_byte_row(k) for k in range(8))
+
+
+def _grow_byte_rows(nbytes: int) -> tuple:
+    global _BYTE_ROWS
+    rows = _BYTE_ROWS
+    rows += tuple(_byte_row(k) for k in range(len(rows), nbytes))
+    _BYTE_ROWS = rows
+    return rows
+
+
 def bit_positions(word: int) -> tuple[int, ...]:
-    """Ascending set-bit positions (the multiplier's row shifts)."""
-    out = []
-    while word:
-        low = word & -word
-        out.append(low.bit_length() - 1)
-        word &= word - 1
-    return tuple(out)
+    """Ascending set-bit positions (the multiplier's row shifts) of the
+    non-negative ``word``: one table lookup per byte."""
+    nbytes = (word.bit_length() + 7) >> 3
+    rows = _BYTE_ROWS
+    if nbytes > len(rows):
+        rows = _grow_byte_rows(nbytes)
+    out = ()
+    for row, byte in zip(rows, word.to_bytes(nbytes, "little")):
+        out += row[byte]
+    return out
 
 
 class FastCSKernel:
@@ -116,6 +147,8 @@ class FastCSKernel:
         self.H = H
         self.notH = ~H & self.wmask
         self.ieee_shift = self.frac - BINARY64.fraction_bits
+        # weight of the rounding block's LSB: 2**(exp - lsb_shift)
+        self.lsb_shift = self.frac + self.block
 
     # -- conversions ---------------------------------------------------
 
@@ -155,6 +188,36 @@ class FastCSKernel:
             rnd = CSNumber(t[4], t[5], p.block, p.round_carry_mask)
             return CSFloat(p, FpClass.NORMAL, t[1], mant, rnd)
         return CSFloat(p, FpClass(cls), sign_hint=t[6])
+
+    def to_ieee(self, t: tuple) -> FPValue:
+        """Internal tuple -> binary64 with integers only; bit-identical
+        to ``cs_to_ieee(self.lower(t))``.
+
+        The mantissa pair collapses modulo ``2**mant_width`` (two's
+        complement), the rounding-data block collapses modulo
+        ``2**block`` and is appended below it as extra fraction bits,
+        and :func:`~repro.batch.ieee_fast.round_to_format` rounds the
+        exact value to nearest-even.  Like the faithful converter, a
+        NORMAL tuple that collapses to 0 lowers to +0.
+        """
+        cls = t[0]
+        if cls == CS_NORMAL:
+            m = (t[2] + t[3]) & self.mmask
+            if m & self.msign:
+                m -= 1 << self.mw
+            n = (m << self.block) | ((t[4] + t[5]) & self.bmask)
+            if n > 0:
+                return round_to_format(0, n, t[1] - self.lsb_shift,
+                                       BINARY64, _NEAREST)
+            if n < 0:
+                return round_to_format(1, -n, t[1] - self.lsb_shift,
+                                       BINARY64, _NEAREST)
+            return FPValue.zero(BINARY64)
+        if cls == CS_ZERO:
+            return FPValue.zero(BINARY64, t[6])
+        if cls == CS_INF:
+            return FPValue.inf(BINARY64, t[6])
+        return FPValue.nan(BINARY64)
 
     # -- the multiplier -------------------------------------------------
 

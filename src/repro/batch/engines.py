@@ -15,7 +15,6 @@ from typing import Any
 
 from ..fma.chain import (CSFmaEngine, DiscreteMulAddEngine, FmaEngine,
                          FusedIeeeEngine)
-from ..fma.convert import cs_to_ieee
 from ..fma.csfma import CSFmaUnit
 from ..fp.formats import BINARY64, FloatFormat
 from ..fp.rounding import RoundingMode
@@ -71,7 +70,7 @@ class FastCSFmaEngine(FmaEngine):
         return k.fma(a, k.lift_b(b), c)
 
     def lower(self, r: Any) -> FPValue:
-        return cs_to_ieee(self.kernel.lower(r))
+        return self.kernel.to_ieee(r)
 
 
 class FastFusedIeeeEngine(FmaEngine):

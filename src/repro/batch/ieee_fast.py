@@ -58,12 +58,10 @@ def round_to_format(sign: int, mag: int, e2: int, fmt: FloatFormat,
             elif mode is _HALF_AWAY:
                 if rem >> (drop - 1):
                     sig += 1
-            elif mode is _TO_POS:
-                # from_fraction rounds the *magnitude* (negative=False in
-                # _round_nonneg_q), so TO_POS_INF bumps it regardless of
-                # sign and TO_NEG_INF truncates it
+            elif mode is (_TO_NEG if sign else _TO_POS):
+                # toward the value's own infinity: away from zero
                 sig += 1
-            # TO_NEG_INF / TRUNCATE: nothing
+            # TRUNCATE, or toward the other infinity: nothing
         if sig >> fmt.significand_bits:
             sig >>= 1
             e += 1

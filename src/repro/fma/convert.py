@@ -6,6 +6,12 @@ fixed shift, exact) and expensive in the CS -> IEEE direction (a full
 carry-propagating add, a variable-distance normalizer and a rounder --
 which is precisely why the pass removes redundant back-to-back
 conversions between chained FMA units).
+
+These are the reference converters.  The batched fast path lowers its
+kernel tuples with the integer twin
+:meth:`repro.batch.cskernel.FastCSKernel.to_ieee`, which is
+bit-identical to ``cs_to_ieee(kernel.lower(t))`` and pinned to it by
+``tests/test_batch_differential.py``.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ..cs.csnumber import CSNumber
 from ..fp.formats import BINARY64
@@ -118,11 +119,13 @@ class CSFmaParams:
         (6 for the PCS unit, 11 for the FCS unit)."""
         return self.window_blocks - self.mant_blocks + 1
 
-    @property
+    # the carry masks are read by every CSFloat construction, so each
+    # params object computes them once (the fields are frozen)
+    @cached_property
     def mant_carry_mask(self) -> int:
         return chunk_carry_mask(self.mant_width, self.carry_spacing)
 
-    @property
+    @cached_property
     def round_carry_mask(self) -> int:
         return chunk_carry_mask(self.block, self.carry_spacing)
 

@@ -25,6 +25,11 @@ from .rounding import RoundingMode, round_scaled
 
 __all__ = ["FpClass", "FPValue"]
 
+#: the mode that rounds a negative value's magnitude as ``mode`` rounds
+#: the value (modes not listed are symmetric)
+_MAGNITUDE_MODE = {RoundingMode.TO_POS_INF: RoundingMode.TO_NEG_INF,
+                   RoundingMode.TO_NEG_INF: RoundingMode.TO_POS_INF}
+
 
 class FpClass(enum.Enum):
     """FloPoCo-style two-wire exception class of a value."""
@@ -137,7 +142,11 @@ class FPValue:
         # Unbiased exponent e such that 1 <= mag / 2^e < 2.
         e = _ilog2(mag)
         # Round magnitude to significand with fmt.fraction_bits fraction
-        # bits: sig = round(mag / 2^(e - fraction_bits)).
+        # bits: sig = round(mag / 2^(e - fraction_bits)).  Toward +inf
+        # shrinks a negative value's magnitude, so for a negative value
+        # the directed modes swap.
+        if sign:
+            mode = _MAGNITUDE_MODE.get(mode, mode)
         sig = round_scaled(mag, e - fmt.fraction_bits, mode)
         if sig >= (1 << fmt.significand_bits):
             # Rounding overflowed into the next binade (e.g. 1.111..1

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..batch import dot_batch, fma_batch, select_engine, vector_kernel_for
+from ..batch import (dot_batch, fma_batch, kernel_for, select_engine,
+                     vector_kernel_for)
 from ..fma.accumulator import PcsAccumulator
 from ..fma.classic import ClassicFmaUnit
 from ..fma.convert import cs_to_ieee, ieee_to_cs
@@ -88,7 +89,11 @@ def _exec_fma(fmt: str, items, use_batch: bool,
     c = [word_to_fp(w) for _a, _b, w in items]
     results = fma_batch(a, b, c, unit=unit, use_batch=use_batch,
                         backend=backend)
-    return [("ok", fp_to_word(cs_to_ieee(r))) for r in results]
+    kernel = kernel_for(unit) if use_batch else None
+    if kernel is None:
+        return [("ok", fp_to_word(cs_to_ieee(r))) for r in results]
+    lift, to_ieee = kernel.lift_cs, kernel.to_ieee
+    return [("ok", fp_to_word(to_ieee(lift(r)))) for r in results]
 
 
 def _exec_dot_vector(unit, items) -> list:
@@ -106,8 +111,8 @@ def _exec_dot_vector(unit, items) -> list:
             a[:lens[i], i] = aw
             b[:lens[i], i] = bw
     tuples = vk.dot_many_words(a, b, lens=np.asarray(lens, np.int64))
-    lower = vk.kernel.lower
-    return [("ok", fp_to_word(cs_to_ieee(lower(t)))) for t in tuples]
+    to_ieee = vk.kernel.to_ieee
+    return [("ok", fp_to_word(to_ieee(t))) for t in tuples]
 
 
 def _exec_dot(fmt: str, items, use_batch: bool,

@@ -9,29 +9,48 @@ rounded floats.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from conftest import normal_doubles, normal_fpvalues
 from repro.batch import (FastCSFmaEngine, accelerate_engine,
-                         accumulate_batch, as_format_fast, dot_batch,
-                         fma_batch, fp_add_fast, fp_fma_fast, fp_mul_fast,
-                         kernel_for)
-from repro.fma import (CSFmaEngine, DiscreteMulAddEngine, FcsFmaUnit,
-                       FusedIeeeEngine, PcsFmaUnit, cs_to_ieee, ieee_to_cs,
-                       run_recurrence)
+                         accumulate_batch, as_format_fast, bit_positions,
+                         dot_batch, fma_batch, fp_add_fast, fp_fma_fast,
+                         fp_mul_fast, kernel_for)
+from repro.batch.cskernel import CS_INF, CS_NAN, CS_NORMAL, CS_ZERO
+from repro.fma import (CSFmaEngine, CSFmaUnit, DiscreteMulAddEngine,
+                       FcsFmaUnit, FusedIeeeEngine, PcsFmaUnit, cs_to_ieee,
+                       ieee_to_cs, run_recurrence)
 from repro.fma.accumulator import AccumulatorOverflow, PcsAccumulator
 from repro.fma.dotprod import FusedDotProductUnit
+from repro.fma.formats import FCS_PARAMS, PCS_PARAMS, chunk_carry_mask
 from repro.fp import (BINARY32, BINARY64, EXTENDED68, EXTENDED75, FPValue,
-                      double)
-from repro.fp.ops import as_format, fp_add, fp_fma, fp_mul
+                      FpClass, double)
+from repro.fp.ops import as_format, fp_add, fp_fma, fp_mul, fp_neg
 from repro.fp.rounding import RoundingMode
+from repro.serve.protocol import word_to_fp
+from test_fma_parametrized import SINGLE_PCS, WIDE_FCS
 
 PCS = PcsFmaUnit()
 FCS = FcsFmaUnit()
 UNITS = [PCS, FCS]
 unit_ids = lambda u: u.name  # noqa: E731
+
+#: the paper's units plus the non-default geometries of
+#: ``test_fma_parametrized`` (a binary32-class PCS, a four-block FCS)
+GEOMETRIES = UNITS + [
+    CSFmaUnit(SINGLE_PCS, selector="zd", use_carry_reduce=True),
+    CSFmaUnit(WIDE_FCS, selector="lza", use_carry_reduce=False),
+]
+geometry_ids = lambda u: u.params.name  # noqa: E731
+
+VECTORS = Path(__file__).parent / "vectors" / "fma_hard_cases.json"
 
 FORMATS = [BINARY32, BINARY64, EXTENDED68, EXTENDED75]
 MODES = list(RoundingMode)
@@ -264,6 +283,297 @@ class TestIeeeFast:
         # same saturation path in both implementations
         assert_same_value(fp_mul_fast(a, b), fp_mul(a, b))
         assert_same_value(fp_add_fast(a, b), fp_add(a, b))
+
+    @pytest.mark.parametrize("fast", [False, True],
+                             ids=["reference", "fast"])
+    def test_directed_rounding_of_negative_results(self, fast):
+        """Toward +inf shrinks a negative result's magnitude, toward
+        -inf grows it (IEEE 754 roundTowardPositive/Negative)."""
+        add, mul, fma, conv = ((fp_add_fast, fp_mul_fast, fp_fma_fast,
+                                as_format_fast) if fast
+                               else (fp_add, fp_mul, fp_fma, as_format))
+        up, down = RoundingMode.TO_POS_INF, RoundingMode.TO_NEG_INF
+        ulp = 2.0 ** -52
+        # -1 - 2**-60
+        a, b = double(-1.0), double(-2.0 ** -60)
+        assert add(a, b, mode=up) == double(-1.0)
+        assert add(a, b, mode=down) == double(-1.0 - ulp)
+        # -(1 + 2**-52) * (1 + 2**-52) = -(1 + 2**-51 + 2**-104)
+        a, b = double(-1.0 - ulp), double(1.0 + ulp)
+        assert mul(a, b, mode=up) == double(-1.0 - 2 * ulp)
+        assert mul(a, b, mode=down) == double(-1.0 - 3 * ulp)
+        # -1 + 2**-30 * -2**-30 = -1 - 2**-60
+        a, b, c = double(-1.0), double(2.0 ** -30), double(-2.0 ** -30)
+        assert fma(a, b, c, mode=up) == double(-1.0)
+        assert fma(a, b, c, mode=down) == double(-1.0 - ulp)
+        # binary64 -(1 + 2**-52) to binary32
+        x = double(-1.0 - ulp)
+        assert conv(x, BINARY32, up) == FPValue.from_float(-1.0, BINARY32)
+        assert conv(x, BINARY32, down) == FPValue.from_float(
+            -1.0 - 2.0 ** -23, BINARY32)
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    @given(a=normal_fpvalues(-60, 60), b=normal_fpvalues(-60, 60),
+           c=normal_fpvalues(-60, 60))
+    @settings(max_examples=30)
+    def test_negation_mirrors_rounding(self, mode, a, b, c):
+        """``op(-x) == -op(x)`` with the directed modes swapped, for
+        every non-zero result, in both implementations."""
+        mirror = {RoundingMode.TO_POS_INF: RoundingMode.TO_NEG_INF,
+                  RoundingMode.TO_NEG_INF: RoundingMode.TO_POS_INF
+                  }.get(mode, mode)
+        cases = [
+            (fp_add, fp_add_fast, (fp_neg(a), fp_neg(b)), (a, b)),
+            (fp_mul, fp_mul_fast, (fp_neg(a), b), (a, b)),
+            (fp_fma, fp_fma_fast, (fp_neg(a), fp_neg(b), c), (a, b, c)),
+            (as_format, as_format_fast, (fp_neg(a), BINARY32),
+             (a, BINARY32)),
+        ]
+        for ref_op, fast_op, neg_args, args in cases:
+            for op in (ref_op, fast_op):
+                want = op(*args, mode=mirror)
+                if not want.is_zero:
+                    assert_same_value(op(*neg_args, mode=mode),
+                                      fp_neg(want))
+
+
+# ---------------------------------------------------------------------------
+# the kernel's integer CS -> binary64 lowering vs the faithful converter
+
+
+def _lower_ref(kernel, t) -> FPValue:
+    return cs_to_ieee(kernel.lower(t))
+
+
+def _corpus_operands(unit):
+    """The 298 golden cases as IEEE operands the unit accepts (binary64,
+    or rounded to binary32 for a binary32-class B port)."""
+    fmt = BINARY32 if unit.params.b_sig_bits < 53 else BINARY64
+    for case in json.loads(VECTORS.read_text())["cases"]:
+        yield tuple(as_format(word_to_fp(int(case[k], 16)), fmt)
+                    for k in "abc")
+
+
+def _at(kernel, n: int, top: int) -> tuple:
+    """NORMAL tuple of the signed integer ``n`` scaled so its leading
+    bit weighs ``2**top``; the low ``block`` bits of ``n`` land in the
+    rounding-data block."""
+    exp = top - (abs(n).bit_length() - 1) + kernel.frac + kernel.block
+    assert kernel.emin <= exp <= kernel.emax
+    return (CS_NORMAL, exp, (n >> kernel.block) & kernel.mmask, 0,
+            n & kernel.bmask, 0, 0)
+
+
+def _edge_cases(kernel) -> list:
+    """``(label, tuple, expected binary64 or None)`` for the lowering's
+    edge cases that the kernel's geometry can represent."""
+    fmask = (1 << 52) - 1
+
+    def normal(sign, top, sig):
+        return FPValue(BINARY64, FpClass.NORMAL, sign, top + 1023,
+                       sig & fmask)
+
+    mm, bm = kernel.mmask, kernel.bmask
+    out = [
+        # mantissa and rounding block both wrap to 0: +0 whatever the
+        # sign hint
+        ("collapse-to-zero", (CS_NORMAL, 0, mm, 1, bm, 1, 0),
+         FPValue.zero(BINARY64)),
+        ("collapse-to-zero-hint", (CS_NORMAL, 0, mm, 1, bm, 1, 1),
+         FPValue.zero(BINARY64)),
+        # mantissa 0 or -1, the rounding block alone carries the value
+        ("round-block-only", (CS_NORMAL, 0, 0, 0, 1, 0, 0), None),
+        ("minus-one-plus-round", (CS_NORMAL, 0, mm, 0, 1, 0, 0), None),
+    ]
+    # every legal carry position set in both planes, positive and
+    # negative collapses
+    for label, m_sum in (("carries-pos", kernel.msign >> 1),
+                         ("carries-neg", mm ^ (kernel.msign >> 1)),
+                         ("carries-wrap", mm)):
+        out.append((label, (CS_NORMAL, 3, m_sum, kernel.mcmask,
+                            bm >> 1, kernel.rcmask, 0), None))
+    for cls in (CS_ZERO, CS_INF, CS_NAN):
+        for hint in (0, 1):
+            out.append((f"class{cls}-hint{hint}",
+                        (cls, 0, 0, 0, 0, 0, hint), None))
+    # rounding at binary64's 53 bits: only geometries whose tuples hold
+    # more than 53 significant bits (8 extra bits below the LSB here)
+    if kernel.mw - 1 + kernel.block < 53 + 8:
+        return out
+    half = 1 << 7
+    even = (1 << 52) | 0x5A5A5A5A5A5A4
+    odd = even | 1
+    ones = (1 << 53) - 1
+    for sign in (0, 1):
+        sg = -1 if sign else 1
+        out += [
+            (f"tie-even-{sign}", _at(kernel, sg * ((even << 8) | half), 0),
+             normal(sign, 0, even)),
+            (f"tie-odd-{sign}", _at(kernel, sg * ((odd << 8) | half), 0),
+             normal(sign, 0, odd + 1)),
+            (f"above-tie-{sign}",
+             _at(kernel, sg * ((even << 8) | half | 1), 0),
+             normal(sign, 0, even + 1)),
+            (f"binade-carry-{sign}",
+             _at(kernel, sg * ((ones << 8) | half), 5),
+             normal(sign, 6, 0)),
+            (f"max-finite-{sign}", _at(kernel, sg * (ones << 8), 1023),
+             normal(sign, 1023, ones)),
+            (f"overflow-{sign}", _at(kernel, sg * (even << 8), 1024),
+             FPValue.inf(BINARY64, sign)),
+            (f"overflow-by-rounding-{sign}",
+             _at(kernel, sg * ((ones << 8) | half), 1023),
+             FPValue.inf(BINARY64, sign)),
+            (f"min-normal-{sign}", _at(kernel, sg * (1 << 60), -1022),
+             normal(sign, -1022, 0)),
+            (f"flush-{sign}", _at(kernel, sg * (even << 8), -1023),
+             FPValue.zero(BINARY64, sign)),
+            (f"min-normal-by-rounding-{sign}",
+             _at(kernel, sg * ((ones << 8) | half), -1023),
+             normal(sign, -1022, 0)),
+        ]
+    return out
+
+
+@st.composite
+def cs_tuples(draw, kernel):
+    """Arbitrary legal kernel tuples: any class, exponent, mantissa and
+    rounding words, carries restricted to the legal positions."""
+    cls = draw(st.sampled_from([CS_NORMAL] * 5 + [CS_ZERO, CS_INF,
+                                                   CS_NAN]))
+    hint = draw(st.integers(0, 1))
+    if cls != CS_NORMAL:
+        return (cls, 0, 0, 0, 0, 0, hint)
+    lo, hi = kernel.emin, kernel.emax
+    edges = [e for e in (*range(-1090, -1010), *range(1010, 1090))
+             if lo <= e <= hi] or [0]
+    exp = draw(st.one_of(st.integers(lo, hi), st.sampled_from(edges)))
+    small = st.integers(0, min(1 << 60, kernel.mmask))
+    m_sum = draw(st.one_of(st.integers(0, kernel.mmask), small,
+                           small.map(lambda v: kernel.mmask - v)))
+    m_carry = draw(st.integers(0, kernel.mmask)) & kernel.mcmask
+    r_sum = draw(st.integers(0, kernel.bmask))
+    r_carry = draw(st.integers(0, kernel.bmask)) & kernel.rcmask
+    return (CS_NORMAL, exp, m_sum, m_carry, r_sum, r_carry, hint)
+
+
+class TestToIeee:
+    """``FastCSKernel.to_ieee(t) == cs_to_ieee(kernel.lower(t))``."""
+
+    @pytest.mark.parametrize("unit", GEOMETRIES, ids=geometry_ids)
+    def test_corpus_chains(self, unit):
+        """Results of chained kernel FMAs over the golden corpus: each
+        case's product, that result fed back as both A and C, and a
+        running accumulator across the whole corpus."""
+        k = kernel_for(unit)
+        acc = (CS_ZERO, 0, 0, 0, 0, 0, 0)
+        seen = 0
+        for a, b, c in _corpus_operands(unit):
+            bt = k.lift_b(b)
+            r1 = k.fma(k.lift_ieee(a), bt, k.lift_ieee(c))
+            r2 = k.fma(r1, bt, r1)
+            acc = k.fma(acc, bt, r2)
+            if acc[0] != CS_NORMAL:
+                acc = (CS_ZERO, 0, 0, 0, 0, 0, 0)
+            for t in (r1, r2, acc):
+                assert_same_value(k.to_ieee(t), _lower_ref(k, t))
+                seen += t[0] == CS_NORMAL
+        assert seen > 500
+
+    @pytest.mark.parametrize("unit", GEOMETRIES, ids=geometry_ids)
+    @seed(20260806)
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_hypothesis_tuples(self, unit, data):
+        k = kernel_for(unit)
+        t = data.draw(cs_tuples(k))
+        assert_same_value(k.to_ieee(t), _lower_ref(k, t))
+
+    @pytest.mark.parametrize("unit", GEOMETRIES, ids=geometry_ids)
+    def test_constructed_edges(self, unit):
+        k = kernel_for(unit)
+        for label, t, want in _edge_cases(k):
+            got = k.to_ieee(t)
+            assert got == _lower_ref(k, t), label
+            if want is not None:
+                assert_same_value(got, want)
+
+    def test_fast_engine_lowers_with_it(self):
+        engine = FastCSFmaEngine(PCS)
+        t = engine.fma(engine.lift(double(1.0)), double(3.0),
+                       engine.lift(double(2.0 ** -70)))
+        assert_same_value(engine.lower(t), engine.kernel.to_ieee(t))
+        assert engine.lower(t) == double(1.0 + 3 * 2.0 ** -70)
+
+
+def _bit_positions_loop(word: int) -> tuple:
+    """The per-bit loop ``bit_positions`` replaced (the reference)."""
+    out = []
+    while word:
+        low = word & -word
+        out.append(low.bit_length() - 1)
+        word &= word - 1
+    return tuple(out)
+
+
+class TestMultiplierRows:
+    def test_bit_positions_matches_bit_loop(self):
+        words = [0]
+        words += [1 << i for i in range(130)]
+        words += [(1 << w) - 1 for w in range(1, 131)]
+        rng = random.Random(20260806)
+        for w in range(1, 131):
+            for _ in range(8):
+                words.append(rng.getrandbits(w) | (1 << (w - 1)))
+        for word in words:
+            assert bit_positions(word) == _bit_positions_loop(word), word
+
+    def test_table_growth_under_threads(self, monkeypatch):
+        """Threads growing the byte table concurrently from empty never
+        see a short or mixed table."""
+        import sys
+        import threading
+
+        from repro.batch import cskernel
+
+        monkeypatch.setattr(cskernel, "_BYTE_ROWS", ())
+        rng = random.Random(7)
+        words = [rng.getrandbits(rng.randint(1, 130)) for _ in range(400)]
+        want = [_bit_positions_loop(w) for w in words]
+        bad = []
+
+        def work(offset):
+            for i in range(len(words)):
+                j = (i + offset) % len(words)
+                if bit_positions(words[j]) != want[j]:
+                    bad.append(words[j])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(37 * k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not bad
+
+    def test_carry_masks_cached(self):
+        narrow = dataclasses.replace(PCS_PARAMS, name="pcs-5",
+                                     carry_spacing=5)
+        for p in (PCS_PARAMS, FCS_PARAMS, narrow):
+            assert p.mant_carry_mask == chunk_carry_mask(p.mant_width,
+                                                         p.carry_spacing)
+            assert p.round_carry_mask == chunk_carry_mask(p.block,
+                                                          p.carry_spacing)
+            # computed once per params object, not per access
+            assert p.mant_carry_mask is p.mant_carry_mask
+            assert p.round_carry_mask is p.round_carry_mask
+        assert narrow.mant_carry_mask != PCS_PARAMS.mant_carry_mask
 
 
 # ---------------------------------------------------------------------------

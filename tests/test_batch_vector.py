@@ -48,7 +48,7 @@ UNITS = [PcsFmaUnit(), FcsFmaUnit()]
 unit_ids = ["pcs", "fcs"]
 
 #: crossovers of ``select_engine`` under ``auto`` (docs/PERFORMANCE.md)
-FMA_LANES, DOT_LEN, DOT_LANES = 576, 768, 56
+FMA_LANES, DOT_LEN, DOT_LANES = 768, 1280, 72
 
 
 def from_word(word: int) -> FPValue:
