@@ -4,6 +4,9 @@ For each call shape the lane engine (``backend="vector"``) and the tuple
 kernel (``backend="tuple"``) run the same seeded all-normal binary64
 operands, interleaved call by call; each cell is the median over
 ``--reps`` pairs of ``t_tuple / t_vector`` (> 1: the lane engine wins).
+Every cell first checks that both engines return equal results (the
+``CSFloat`` lists, the dot result, the serve replies) and raises
+``AssertionError`` if they do not.
 
 * ``dot``: one ``dot_batch`` of N elements (hybrid vs tuple chain);
 * ``dot-lanes``: one coalesced serve dot payload of N dots of 4-16
@@ -24,12 +27,12 @@ import time
 
 from repro.batch import dot_batch, fma_batch
 from repro.fma import FcsFmaUnit, PcsFmaUnit
+from repro.fp import word_to_fp
 from repro.serve.executor import execute_payload
-from repro.serve.protocol import word_to_fp
 
 SIZES = {"dot": (768, 1024, 1280, 1536, 1792, 2048),
          "dot-lanes": (56, 64, 72, 80, 96, 128),
-         "fma": (576, 768, 832, 896, 960, 1024)}
+         "fma": (384, 448, 512, 576, 640, 704, 768, 1024, 4096)}
 
 
 def _word(rng: random.Random) -> int:
@@ -66,8 +69,12 @@ def measure(reps: int, seed: int = 1) -> dict:
         for n in sizes:
             for fmt, unit in units.items():
                 calls = _calls(op, fmt, unit, n, rng)
-                for call in calls.values():     # warm trees and buffers
-                    call()
+                # the warm call (trees, buffers) also checks the cell:
+                # both engines must return the same results
+                out = {be: call() for be, call in calls.items()}
+                if out["vector"] != out["tuple"]:
+                    raise AssertionError(
+                        f"{op} N={n} {fmt}: vector and tuple disagree")
                 ratios = []
                 for _ in range(reps):
                     t = {}

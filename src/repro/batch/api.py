@@ -21,7 +21,7 @@ from ..fma.convert import cs_to_ieee, ieee_to_cs
 from ..fma.csfma import CSFmaUnit, FcsFmaUnit
 from ..fma.formats import CSFloat
 from ..fp.formats import BINARY64
-from ..fp.value import FpClass, FPValue
+from ..fp.value import FpClass, FPValue, fp_to_word
 from ..guard import residue as _gd
 from ..telemetry import core as _tm
 from .cskernel import CS_ZERO, bit_positions, kernel_for
@@ -79,20 +79,16 @@ def select_engine(op: str, unit: CSFmaUnit, size: int,
     return "tuple"
 
 
-def _fp_word(x: FPValue) -> int:
-    """Canonical binary64 bit pattern of a binary64 value (specials
-    defer, so only the normal/zero encodings must round-trip exactly)."""
-    if x.is_nan:
-        return 0x7FF8000000000000
-    if x.is_inf:
-        return (x.sign << 63) | 0x7FF0000000000000
-    if x.is_zero:
-        return x.sign << 63
-    return (x.sign << 63) | (x.biased_exponent << 52) | x.fraction
+#: the word :func:`_fma_vector` gathers for an operand with no binary64
+#: encoding (a CS operand, another IEEE format): a signalling-NaN pattern,
+#: which ``fp_to_word`` never emits (it canonicalizes NaN to the quiet
+#: one), so the lane defers with the NaN/Inf lanes
+_NO_WORD = 0x7FF0000000000001
 
 
-def _fma_tuple(kernel, a, b, c) -> list[CSFloat]:
-    """:func:`fma_batch` on the tuple kernel."""
+def _tuple_lanes(kernel, a, b, c) -> list[tuple]:
+    """``a[i] + b[i] * c[i]`` per lane on the tuple kernel, as kernel
+    tuples."""
     lift = kernel.lift_cs
     lift_ieee = kernel.lift_ieee
     out = []
@@ -101,48 +97,44 @@ def _fma_tuple(kernel, a, b, c) -> list[CSFloat]:
         ct = lift_ieee(ci) if isinstance(ci, FPValue) else lift(ci)
         bt = kernel.lift_b(bi)
         pos = bit_positions(bt[3]) if bt[0] == 1 else None
-        out.append(kernel.lower(kernel.fma(at, bt, ct, pos)))
+        out.append(kernel.fma(at, bt, ct, pos))
     return out
 
 
-def _fma_vector(vk, a, b, c) -> list[CSFloat]:
-    """:func:`fma_batch` on the lane engine ``vk``.  Lanes with no
-    binary64 word encoding (CS operands, other IEEE formats) and lanes
-    with NaN/Inf operands re-run through :func:`_fma_tuple`."""
-    n = len(a)
-    cs_lane = np.zeros(n, bool)
-    fmt_lane = np.zeros(n, bool)
-    aw = np.zeros(n, np.uint64)
-    bw = np.zeros(n, np.uint64)
-    cw = np.zeros(n, np.uint64)
-    for i, (ai, bi, ci) in enumerate(zip(a, b, c)):
-        if not (isinstance(ai, FPValue) and isinstance(ci, FPValue)):
-            cs_lane[i] = True
-        elif ai.fmt is bi.fmt is ci.fmt is BINARY64:
-            aw[i] = _fp_word(ai)
-            bw[i] = _fp_word(bi)
-            cw[i] = _fp_word(ci)
-        else:
-            fmt_lane[i] = True
+def _word_plane(xs) -> np.ndarray:
+    """One operand's binary64 words, :data:`_NO_WORD` where it has none."""
+    return np.array([fp_to_word(x) if isinstance(x, FPValue)
+                     and x.fmt is BINARY64 else _NO_WORD for x in xs],
+                    np.uint64)
+
+
+def _fma_vector(vk, a, b, c) -> list[tuple]:
+    """:func:`fma_batch` on the lane engine ``vk``, as kernel tuples.
+    Lanes with no binary64 word encoding (CS operands, other IEEE
+    formats) and lanes with NaN/Inf operands re-run through
+    :func:`_tuple_lanes`."""
+    aw, bw, cw = _word_plane(a), _word_plane(b), _word_plane(c)
     acs, _ab, spec_a = vk.lift_words(aw)
     _cb, bcs, spec_b = vk.lift_words(bw)
     ccs, _xb, spec_c = vk.lift_words(cw)
-    special = spec_a | spec_b | spec_c
-    defer = cs_lane | fmt_lane | special
+    defer = spec_a | spec_b | spec_c
     # deferred lanes re-run below; make their vector lanes trivial
     # (class ZERO) so the lane engine never sees a special class
     for cols in (acs, bcs, ccs):
         cols["cls"] = np.where(defer, CS_ZERO, cols["cls"])
-    tuples = vk.lower_lanes(vk.fma_lanes(acs, bcs, ccs))
-    count_lanes(n, {"cs-operand": int(cs_lane.sum()),
-                    "non-binary64": int(fmt_lane.sum()),
-                    "special": int(special.sum())})
-    out = [vk.kernel.lower(t) for t in tuples]
+    out = vk.lower_lanes(vk.fma_lanes(acs, bcs, ccs))
     idx = np.flatnonzero(defer).tolist()
-    redo = _fma_tuple(vk.kernel, [a[i] for i in idx], [b[i] for i in idx],
-                      [c[i] for i in idx])
-    for i, r in zip(idx, redo):
-        out[i] = r
+    no_word = np.flatnonzero((aw == _NO_WORD) | (bw == _NO_WORD)
+                             | (cw == _NO_WORD)).tolist()
+    n_cs = sum(not (isinstance(a[i], FPValue) and isinstance(c[i], FPValue))
+               for i in no_word)
+    count_lanes(len(a), {"cs-operand": n_cs,
+                         "non-binary64": len(no_word) - n_cs,
+                         "special": len(idx) - len(no_word)})
+    redo = _tuple_lanes(vk.kernel, [a[i] for i in idx], [b[i] for i in idx],
+                        [c[i] for i in idx])
+    for i, t in zip(idx, redo):
+        out[i] = t
     return out
 
 
@@ -180,9 +172,12 @@ def fma_batch(a: Sequence["CSFloat | FPValue"], b: Sequence[FPValue],
     if engine == "faithful":
         return [unit.fma(_as_cs(ai, unit), bi, _as_cs(ci, unit))
                 for ai, bi, ci in zip(a, b, c)]
+    # both engines lower through the kernel's one checked builder
     if engine == "vector":
-        return _fma_vector(vector_kernel_for(unit), a, b, c)
-    return _fma_tuple(kernel_for(unit), a, b, c)
+        vk = vector_kernel_for(unit)
+        return vk.kernel.lower_batch(_fma_vector(vk, a, b, c))
+    kernel = kernel_for(unit)
+    return kernel.lower_batch(_tuple_lanes(kernel, a, b, c))
 
 
 def dot_batch(a: Sequence[FPValue], b: Sequence[FPValue],

@@ -39,14 +39,19 @@ operand is ``(cls, sign, unbiased_exp, significand)``.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+from typing import Sequence
+
 from .. import probes
+from ..cs.csnumber import CSNumber, cs_word_error
 from ..fma.csfma import CSFmaUnit
-from ..guard import residue as _gd
-from ..telemetry import core as _tm
-from ..fma.formats import CSFloat, CSFmaParams
+from ..fma.formats import CSFloat, CSFmaParams, exponent_error
 from ..fp.formats import BINARY64
 from ..fp.rounding import RoundingMode
 from ..fp.value import FpClass, FPValue
+from ..guard import residue as _gd
+from ..telemetry import core as _tm
 from .ieee_fast import round_to_format
 from .trees import tree_depth, tree_fn
 
@@ -56,6 +61,12 @@ __all__ = ["FastCSKernel", "kernel_for", "bit_positions",
 CS_ZERO, CS_NORMAL, CS_INF, CS_NAN = 0, 1, 2, 3
 
 _NEAREST = RoundingMode.NEAREST_EVEN
+
+#: kernel class code -> :class:`FpClass`; a dict, so an invalid code
+#: such as -1 misses instead of indexing from the end
+_FP_CLASS = {c.value: c for c in FpClass}
+_new = object.__new__
+_set = object.__setattr__
 
 _KERNELS: dict[tuple[int, str, bool], "FastCSKernel"] = {}
 
@@ -149,6 +160,10 @@ class FastCSKernel:
         self.ieee_shift = self.frac - BINARY64.fraction_bits
         # weight of the rounding block's LSB: 2**(exp - lsb_shift)
         self.lsb_shift = self.frac + self.block
+        # the CS pairs of every non-NORMAL CSFloat that lower_batch
+        # builds (immutable, so one checked pair is shared)
+        self.zero_mant = CSNumber.zero(p.mant_width, self.mcmask)
+        self.zero_round = CSNumber.zero(p.block, self.rcmask)
 
     # -- conversions ---------------------------------------------------
 
@@ -178,16 +193,86 @@ class FastCSKernel:
         return (x.cls.value, x.sign, 0, 0)
 
     def lower(self, t: tuple) -> CSFloat:
-        """Internal tuple -> CSFloat (for the format boundary only)."""
-        from ..cs.csnumber import CSNumber
+        """Internal tuple -> CSFloat: the one-lane :meth:`lower_batch`."""
+        return self.lower_batch((t,))[0]
 
+    def lower_batch(self, ts: Sequence[tuple]) -> list[CSFloat]:
+        """Internal tuples -> CSFloats in one pass: the format boundary
+        of both engines' :func:`~repro.batch.fma_batch` results.
+
+        Each result ``==`` the ``CSFloat`` (and its two ``CSNumber``
+        pairs) constructed from the tuple's fields, and a batch raises
+        the ``ValueError`` that construction raises for its first lane
+        that breaks one of the constructors' conditions:
+        :func:`~repro.cs.csnumber.cs_word_error` on both CS pairs and
+        :func:`~repro.fma.formats.exponent_error` on the exponent of a
+        NORMAL lane, a valid :class:`FpClass` code on every lane.  The
+        conditions run once on the whole batch -- on the OR of its words
+        and the extremes of its exponents, which pass exactly when every
+        lane does -- and only a batch that fails is checked lane by
+        lane, to find the lane.  The objects are then assembled without
+        re-running the constructors' checks.  As in the constructors, a
+        non-NORMAL lane keeps only its class and sign hint, and a NORMAL
+        one drops its sign hint.
+        """
+        if not ts:
+            return []
         p = self.params
-        cls = t[0]
-        if cls == CS_NORMAL:
-            mant = CSNumber(t[2], t[3], p.mant_width, p.mant_carry_mask)
-            rnd = CSNumber(t[4], t[5], p.block, p.round_carry_mask)
-            return CSFloat(p, FpClass.NORMAL, t[1], mant, rnd)
-        return CSFloat(p, FpClass(cls), sign_hint=t[6])
+        mw, mcm, bw, rcm = self.mw, self.mcmask, self.block, self.rcmask
+        cls, exp, ms, mc, rs, rc, _sh = zip(*ts)
+        if (cs_word_error(reduce(or_, ms), reduce(or_, mc), mw, mcm)
+                or cs_word_error(reduce(or_, rs), reduce(or_, rc), bw, rcm)
+                or exponent_error(p, min(exp))
+                or exponent_error(p, max(exp))
+                or not _FP_CLASS.keys() >= set(cls)):
+            for t in ts:
+                self._check_lane(t)
+        # what the generated frozen __init__ does, minus __post_init__
+        # (its checks ran above); object.__setattr__ keeps the fields in
+        # the instance's inline slots, so reads stay as fast as on a
+        # constructed CSFloat (a materialized __dict__ halves read speed)
+        normal = FpClass.NORMAL
+        zm, zr = self.zero_mant, self.zero_round
+        out = []
+        append = out.append
+        for c, e, s, sc, r, rcy, sh in ts:
+            f = _new(CSFloat)
+            _set(f, "params", p)
+            if c == CS_NORMAL:
+                m = _new(CSNumber)
+                _set(m, "sum", s)
+                _set(m, "carry", sc)
+                _set(m, "width", mw)
+                _set(m, "carry_mask", mcm)
+                q = _new(CSNumber)
+                _set(q, "sum", r)
+                _set(q, "carry", rcy)
+                _set(q, "width", bw)
+                _set(q, "carry_mask", rcm)
+                _set(f, "cls", normal)
+                _set(f, "exp", e)
+                _set(f, "mant", m)
+                _set(f, "round_data", q)
+                _set(f, "sign_hint", 0)
+            else:
+                _set(f, "cls", _FP_CLASS[c])
+                _set(f, "exp", 0)
+                _set(f, "mant", zm)
+                _set(f, "round_data", zr)
+                _set(f, "sign_hint", sh)
+            append(f)
+        return out
+
+    def _check_lane(self, t: tuple) -> None:
+        """Raise what constructing ``t``'s CSFloat raises, if anything."""
+        if t[0] != CS_NORMAL:
+            FpClass(t[0])       # the enum's ValueError for an invalid code
+            return
+        err = (cs_word_error(t[2], t[3], self.mw, self.mcmask)
+               or cs_word_error(t[4], t[5], self.block, self.rcmask)
+               or exponent_error(self.params, t[1]))
+        if err is not None:
+            raise ValueError(err)
 
     def to_ieee(self, t: tuple) -> FPValue:
         """Internal tuple -> binary64 with integers only; bit-identical

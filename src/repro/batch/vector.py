@@ -25,6 +25,18 @@ group simultaneously, and lets the callers mask -- ``(S << p_pos) &
 wmask`` and ``(S & pmask)`` recover exactly what the scalar kernel's
 per-modulus trees produce.
 
+The lane boundary
+-----------------
+Lanes enter as binary64 bit-word planes and leave as internal kernel
+tuples, each edge a whole-column pass rather than a per-lane loop:
+:func:`repro.batch.fma_batch` gathers each operand's word plane with one
+comprehension through :func:`repro.fp.fp_to_word`, and
+:meth:`lower_lanes` packs the mantissa digits into 64-bit limbs with
+array ops and turns every column into Python ints with one ``tolist``.
+Both engines' fma results then become ``CSFloat`` objects in
+:meth:`FastCSKernel.lower_batch`, the one builder, which checks every
+lane against the ``CSNumber``/``CSFloat`` invariants.
+
 Divergence policy
 -----------------
 The lane engine reads binary64 operands only: :meth:`lift_words` and
@@ -49,7 +61,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..fp.formats import BINARY64
-from ..fp.value import FpClass
+from ..fp.value import FpClass, word_to_fp
 from ..telemetry import core as _tm
 from .cskernel import (CS_INF, CS_NAN, CS_NORMAL, CS_ZERO, FastCSKernel,
                        kernel_for)
@@ -293,14 +305,16 @@ class VectorCSKernel:
         return bufs
 
     def _digits_to_limbs(self, x):
-        """Repack ``(n, D)`` block-width digits into ``(n, LB)`` 64-bit
-        limbs (little-endian in both forms)."""
-        n = x.shape[0]
-        out = np.zeros((n, self.LB), np.uint64)
-        for k in range(self.D):
+        """Repack ``(n, K)`` block-width digits into ``(n, ceil(K * BB /
+        64))`` 64-bit limbs (little-endian in both forms; ``LB`` limbs
+        for a window)."""
+        n, K = x.shape
+        LB = (K * self.BB + 63) // 64
+        out = np.zeros((n, LB), np.uint64)
+        for k in range(K):
             j, r = divmod(self.BB * k, 64)
             out[:, j] |= x[:, k] << _U64(r)
-            if r and r + self.BB > 64 and j + 1 < self.LB:
+            if r and r + self.BB > 64 and j + 1 < LB:
                 out[:, j + 1] |= x[:, k] >> _U64(64 - r)
         return out
 
@@ -680,25 +694,29 @@ class VectorCSKernel:
     # -- lifts / lowers --------------------------------------------------
 
     def lower_lanes(self, cols):
-        """CS cols -> list of internal kernel tuples."""
-        out = []
-        BB = self.BB
+        """CS cols -> list of internal kernel tuples, built a whole column
+        at a time: the mantissa digits are packed into 64-bit limbs with
+        array ops, every column becomes Python ints with one ``tolist``,
+        and only the limbs of each lane are joined in Python.  As in
+        :meth:`FastCSKernel.fma`, a non-NORMAL lane carries only its
+        class and sign hint (a NORMAL lane's hint is already 0)."""
         cls = cols["cls"]
-        exp = cols["exp"]
-        m, mc = cols["m"], cols["mc"]
-        rs, rc = cols["rs"], cols["rc"]
-        sh = cols["sh"]
-        for i in range(cls.shape[0]):
-            ci = int(cls[i])
-            if ci != CS_NORMAL:
-                out.append((ci, 0, 0, 0, 0, 0, int(sh[i])))
-                continue
-            ms = mcs = 0
-            for j in range(self.MD):
-                ms |= int(m[i, j]) << (BB * j)
-                mcs |= int(mc[i, j]) << (BB * j)
-            out.append((CS_NORMAL, int(exp[i]), ms, mcs, int(rs[i]),
-                        int(rc[i]), 0))
+        normal = cls == CS_NORMAL
+        keep = np.where(normal, ~_U64(0), _U64(0))
+        return list(zip(cls.tolist(),
+                        np.where(normal, cols["exp"], 0).tolist(),
+                        self._digits_to_ints(cols["m"] & keep[:, None]),
+                        self._digits_to_ints(cols["mc"] & keep[:, None]),
+                        (cols["rs"] & keep).tolist(),
+                        (cols["rc"] & keep).tolist(),
+                        cols["sh"].tolist()))
+
+    def _digits_to_ints(self, x) -> list:
+        """``(n, K)`` block-width digits -> one Python int per lane."""
+        limbs = self._digits_to_limbs(x).T.tolist()
+        out = limbs.pop()
+        while limbs:
+            out = [hi << 64 | lo for hi, lo in zip(out, limbs.pop())]
         return out
 
     # -- fused dot products ---------------------------------------------
@@ -740,7 +758,7 @@ class VectorCSKernel:
     def _word_planes(self, w, live):
         """Classify one ``(T, N)`` word plane: ``(sig, sign, exp,
         special)`` with subnormals flushed to signed zero (the loader
-        semantics of ``repro.serve.protocol.word_to_fp``)."""
+        semantics of :func:`repro.fp.word_to_fp`)."""
         be = (w >> _U64(52)) & _U64(0x7FF)
         nrm = (be != 0) & (be != _U64(0x7FF)) & live
         spec = (be == _U64(0x7FF)) & live
@@ -788,8 +806,6 @@ class VectorCSKernel:
         count_lanes(N, {"special": n_spec,
                         "window-overflow": int(redo.sum()) - n_spec})
         if redo.any():
-            from ..serve.protocol import word_to_fp
-
             for i in np.flatnonzero(redo):
                 L = int(lens[i])
                 out[i] = self.kernel.dot_tuple(

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CSNumber", "pcs_carry_mask", "FULL_CARRY", "NO_CARRY"]
+__all__ = ["CSNumber", "cs_word_error", "pcs_carry_mask", "FULL_CARRY",
+           "NO_CARRY"]
 
 
 def pcs_carry_mask(width: int, spacing: int) -> int:
@@ -40,6 +41,31 @@ def pcs_carry_mask(width: int, spacing: int) -> int:
         mask |= 1 << pos
         pos += spacing
     return mask
+
+
+def cs_word_error(sum_: int, carry: int, width: int,
+                  carry_mask: int | None = None) -> str | None:
+    """Why ``(sum_, carry)`` is not a valid :class:`CSNumber` of ``width``
+    digits, or ``None``: the one statement of its invariants, which
+    :meth:`CSNumber.__post_init__` and the fast kernel's batch lowering
+    (:meth:`repro.batch.cskernel.FastCSKernel.lower_batch`) both check.
+
+    Both words must be non-negative; ``sum_`` must fit in ``width`` bits;
+    ``carry`` may use the guard position ``width`` but nothing above it,
+    and no position outside ``carry_mask``.  Each condition forbids a set
+    of bits (a negative word sets every high bit), so the words of many
+    numbers pass exactly when their bitwise ORs do; the batch lowering
+    relies on that, and any new condition must keep that form.
+    """
+    if sum_ < 0 or carry < 0:
+        return "CS words must be non-negative bit vectors"
+    if sum_ >> width:
+        return f"sum word wider than declared width {width}"
+    if carry >> (width + 1):
+        return "carry word exceeds width+1 guard position"
+    if carry_mask is not None and carry & ~carry_mask:
+        return "carry bit at a position outside carry_mask"
+    return None
 
 
 #: Sentinel spacing constants for :class:`CSNumber` construction helpers.
@@ -72,15 +98,10 @@ class CSNumber:
     carry_mask: int | None = None
 
     def __post_init__(self) -> None:
-        if self.sum < 0 or self.carry < 0:
-            raise ValueError("CS words must be non-negative bit vectors")
-        if self.sum >> self.width:
-            raise ValueError(
-                f"sum word wider than declared width {self.width}")
-        if self.carry >> (self.width + 1):
-            raise ValueError("carry word exceeds width+1 guard position")
-        if self.carry_mask is not None and self.carry & ~self.carry_mask:
-            raise ValueError("carry bit at a position outside carry_mask")
+        err = cs_word_error(self.sum, self.carry, self.width,
+                            self.carry_mask)
+        if err is not None:
+            raise ValueError(err)
 
     # -- constructors ---------------------------------------------------
 

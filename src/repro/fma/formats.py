@@ -48,6 +48,7 @@ __all__ = [
     "FCS_PARAMS",
     "CSFloat",
     "chunk_carry_mask",
+    "exponent_error",
     "round_decision",
 ]
 
@@ -184,6 +185,18 @@ FCS_PARAMS = CSFmaParams(
 )
 
 
+def exponent_error(params: CSFmaParams, exp: int) -> str | None:
+    """Why ``exp`` is not the exponent of a NORMAL :class:`CSFloat` under
+    ``params``, or ``None``: the one statement of the range
+    ``[exp_min, exp_max]``, which :meth:`CSFloat.__post_init__` and the
+    fast kernel's batch lowering both check.  An interval, so many
+    exponents pass exactly when their minimum and maximum do."""
+    if not params.exp_min <= exp <= params.exp_max:
+        return (f"exponent {exp} outside representable range "
+                f"[{params.exp_min}, {params.exp_max}]")
+    return None
+
+
 def round_decision(round_data: CSNumber, block: int) -> int:
     """The deferred round-half-away decision of Sec. III-C/III-E.
 
@@ -243,11 +256,10 @@ class CSFloat:
             raise ValueError("mantissa width mismatch")
         if self.round_data.width != p.block:
             raise ValueError("rounding-data width mismatch")
-        if self.cls is FpClass.NORMAL and not (
-                p.exp_min <= self.exp <= p.exp_max):
-            raise ValueError(
-                f"exponent {self.exp} outside representable range "
-                f"[{p.exp_min}, {p.exp_max}]")
+        if self.cls is FpClass.NORMAL:
+            err = exponent_error(p, self.exp)
+            if err is not None:
+                raise ValueError(err)
 
     # -- constructors ----------------------------------------------------
 

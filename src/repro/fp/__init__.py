@@ -15,12 +15,12 @@ from .reference import (ExactTrace, mantissa_error_bits, run_recurrence_exact,
                         ulp_error)
 from .rounding import RoundingMode, round_fraction_to_int, round_scaled, \
     shift_right_round
-from .value import FpClass, FPValue
+from .value import FpClass, FPValue, fp_to_word, word_to_fp
 
 __all__ = [
     "BINARY32", "BINARY64", "EXTENDED68", "EXTENDED75",
     "FloatFormat", "format_by_name",
-    "FpClass", "FPValue",
+    "FpClass", "FPValue", "fp_to_word", "word_to_fp",
     "RoundingMode", "round_fraction_to_int", "round_scaled",
     "shift_right_round",
     "fp_add", "fp_sub", "fp_mul", "fp_div", "fp_neg", "fp_abs", "fp_fma",

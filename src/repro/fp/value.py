@@ -23,7 +23,7 @@ from fractions import Fraction
 from .formats import BINARY64, FloatFormat
 from .rounding import RoundingMode, round_scaled
 
-__all__ = ["FpClass", "FPValue"]
+__all__ = ["FpClass", "FPValue", "fp_to_word", "word_to_fp"]
 
 #: the mode that rounds a negative value's magnitude as ``mode`` rounds
 #: the value (modes not listed are symmetric)
@@ -293,3 +293,47 @@ def _ilog2(mag: Fraction) -> int:
         elif num << (-e - 1) >= den:
             e += 1
     return e
+
+
+# ----------------------------------------------------------------------
+# binary64 word codec (the serve wire format, the golden-vector corpus
+# and the lane engine's operand planes)
+# ----------------------------------------------------------------------
+
+_WORD_MASK = (1 << 64) - 1
+_FRAC_MASK = (1 << 52) - 1
+_QNAN = 0x7FF8000000000000
+
+
+def fp_to_word(x: FPValue) -> int:
+    """IEEE binary64 bit pattern of ``x`` (NaN canonicalized to the
+    quiet NaN ``0x7FF8000000000000``, matching the golden-vector corpus;
+    *not* the FloPoCo :meth:`FPValue.pack` word, which carries two extra
+    exception bits).  The classes are exclusive, so the common NORMAL
+    case is tested first."""
+    cls = x.cls
+    if cls is FpClass.NORMAL:
+        return (x.sign << 63) | (x.biased_exponent << 52) | x.fraction
+    if cls is FpClass.ZERO:
+        return x.sign << 63
+    if cls is FpClass.INF:
+        return (x.sign << 63) | 0x7FF0000000000000
+    return _QNAN
+
+
+def word_to_fp(word: int) -> FPValue:
+    """Decode an IEEE binary64 bit pattern exactly.
+
+    Subnormal encodings flush to signed zero -- the same loader
+    semantics as ``FPValue.from_float`` and the FloPoCo-style models.
+    """
+    word &= _WORD_MASK
+    sign = (word >> 63) & 1
+    be = (word >> 52) & 0x7FF
+    frac = word & _FRAC_MASK
+    if be == 0x7FF:
+        return (FPValue.nan(BINARY64) if frac
+                else FPValue.inf(BINARY64, sign))
+    if be == 0:  # subnormal or zero: flush, preserving the sign
+        return FPValue.zero(BINARY64, sign)
+    return FPValue.from_parts(BINARY64, sign, be, frac)

@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..batch.engines import BACKENDS
-from ..fp.formats import BINARY64
-from ..fp.value import FPValue
+# the binary64 word codec lives in the fp layer; re-exported for clients
+from ..fp.value import FPValue, fp_to_word, word_to_fp
 
 __all__ = ["Request", "Response", "OPS", "FORMATS", "REJECT_REASONS",
            "VERIFY_LEVELS", "word_to_hex", "hex_to_word",
@@ -82,41 +82,6 @@ def hex_to_word(text: str) -> int:
     if not 0 <= word <= _WORD_MASK:
         raise ProtocolError(f"bit pattern out of range: {text!r}")
     return word
-
-
-_FRAC_MASK = (1 << 52) - 1
-_QNAN = 0x7FF8000000000000
-
-
-def fp_to_word(x: FPValue) -> int:
-    """IEEE binary64 bit pattern of ``x`` (NaN canonicalized to the
-    quiet NaN, matching the golden-vector corpus; *not* the FloPoCo
-    ``FPValue.pack`` word, which carries two extra exception bits)."""
-    if x.is_nan:
-        return _QNAN
-    if x.is_inf:
-        return (x.sign << 63) | 0x7FF0000000000000
-    if x.is_zero:
-        return x.sign << 63
-    return ((x.sign << 63) | (x.biased_exponent << 52) | x.fraction)
-
-
-def word_to_fp(word: int) -> FPValue:
-    """Decode an IEEE binary64 bit pattern exactly.
-
-    Subnormal encodings flush to signed zero -- the same loader
-    semantics as ``FPValue.from_float`` and the FloPoCo-style models.
-    """
-    word &= _WORD_MASK
-    sign = (word >> 63) & 1
-    be = (word >> 52) & 0x7FF
-    frac = word & _FRAC_MASK
-    if be == 0x7FF:
-        return (FPValue.nan(BINARY64) if frac
-                else FPValue.inf(BINARY64, sign))
-    if be == 0:  # subnormal or zero: flush, preserving the sign
-        return FPValue.zero(BINARY64, sign)
-    return FPValue.from_parts(BINARY64, sign, be, frac)
 
 
 @dataclass(frozen=True)

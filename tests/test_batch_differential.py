@@ -24,12 +24,14 @@ from repro.batch import (FastCSFmaEngine, accelerate_engine,
                          dot_batch, fma_batch, fp_add_fast, fp_fma_fast,
                          fp_mul_fast, kernel_for)
 from repro.batch.cskernel import CS_INF, CS_NAN, CS_NORMAL, CS_ZERO
+from repro.cs.csnumber import CSNumber
 from repro.fma import (CSFmaEngine, CSFmaUnit, DiscreteMulAddEngine,
                        FcsFmaUnit, FusedIeeeEngine, PcsFmaUnit, cs_to_ieee,
                        ieee_to_cs, run_recurrence)
 from repro.fma.accumulator import AccumulatorOverflow, PcsAccumulator
 from repro.fma.dotprod import FusedDotProductUnit
-from repro.fma.formats import FCS_PARAMS, PCS_PARAMS, chunk_carry_mask
+from repro.fma.formats import (FCS_PARAMS, PCS_PARAMS, CSFloat,
+                                chunk_carry_mask)
 from repro.fp import (BINARY32, BINARY64, EXTENDED68, EXTENDED75, FPValue,
                       FpClass, double)
 from repro.fp.ops import as_format, fp_add, fp_fma, fp_mul, fp_neg
@@ -574,6 +576,147 @@ class TestMultiplierRows:
             assert p.mant_carry_mask is p.mant_carry_mask
             assert p.round_carry_mask is p.round_carry_mask
         assert narrow.mant_carry_mask != PCS_PARAMS.mant_carry_mask
+
+
+# ---------------------------------------------------------------------------
+# the checked batch lowering vs the CSFloat/CSNumber constructors
+
+
+def _constructed(kernel, t):
+    """What lowering ``t`` must give: the CSFloat that constructing it
+    from the tuple's fields builds (the per-lane ``lower`` that
+    ``lower_batch`` replaced), or the ValueError construction raises."""
+    p = kernel.params
+    try:
+        if t[0] == CS_NORMAL:
+            return CSFloat(
+                p, FpClass.NORMAL, t[1],
+                CSNumber(t[2], t[3], p.mant_width, p.mant_carry_mask),
+                CSNumber(t[4], t[5], p.block, p.round_carry_mask))
+        return CSFloat(p, FpClass(t[0]), sign_hint=t[6])
+    except ValueError as exc:
+        return exc
+
+
+def _off_mask(width: int, mask: int) -> int:
+    """The lowest carry position at or below ``width`` that ``mask``
+    forbids (``width`` itself for full carry save)."""
+    return next(i for i in range(width + 1) if not mask >> i & 1)
+
+
+def _violations(kernel) -> list:
+    """``(label, tuple, message fragment)``: tuples that each break one
+    condition of the CSNumber/CSFloat constructors."""
+    base = (CS_NORMAL, 3, kernel.msign >> 1, kernel.mcmask, 1,
+            kernel.rcmask, 0)
+
+    def lane(i, v):
+        """``base`` with field ``i`` set to ``v``."""
+        return base[:i] + (v,) + base[i + 1:]
+
+    out = []
+    for plane, width, mask, si in (("mant", kernel.mw, kernel.mcmask, 2),
+                                   ("round", kernel.block, kernel.rcmask,
+                                    4)):
+        ci = si + 1
+        out += [
+            (f"{plane}-sum-too-wide", lane(si, 1 << width),
+             f"wider than declared width {width}"),
+            (f"{plane}-sum-negative", lane(si, -1), "non-negative"),
+            (f"{plane}-carry-negative", lane(ci, -1), "non-negative"),
+            (f"{plane}-carry-off-mask",
+             lane(ci, 1 << _off_mask(width, mask)), "outside carry_mask"),
+            (f"{plane}-carry-beyond-guard", lane(ci, 1 << (width + 1)),
+             "width+1 guard"),
+        ]
+    out += [
+        ("exp-below", lane(1, kernel.emin - 1), "outside representable"),
+        ("exp-above", lane(1, kernel.emax + 1), "outside representable"),
+        ("class-4", (4, 0, 0, 0, 0, 0, 0), "not a valid FpClass"),
+        ("class-minus-1", (-1, 0, 0, 0, 0, 0, 0), "not a valid FpClass"),
+    ]
+    return out
+
+
+def _legal_tuples(kernel, n: int, seed: int = 0) -> list:
+    """``n`` seeded legal tuples, every 8th one a ZERO/INF/NAN."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        if i % 8 == 7:
+            out.append((rng.choice((CS_ZERO, CS_INF, CS_NAN)), 0, 0, 0, 0,
+                        0, rng.getrandbits(1)))
+            continue
+        out.append((CS_NORMAL, rng.randint(kernel.emin, kernel.emax),
+                    rng.getrandbits(kernel.mw),
+                    rng.getrandbits(kernel.mw) & kernel.mcmask,
+                    rng.getrandbits(kernel.block),
+                    rng.getrandbits(kernel.block) & kernel.rcmask, 0))
+    return out
+
+
+class TestLowerBatchChecks:
+    """``FastCSKernel.lower_batch`` (and ``lower``, its one-lane case)
+    checks what the constructors check: it raises their ValueError,
+    message included, on exactly the tuples they reject, and builds
+    ``==`` objects from the rest."""
+
+    @pytest.mark.parametrize("unit", GEOMETRIES, ids=geometry_ids)
+    def test_each_violation_raises_as_constructed(self, unit):
+        k = kernel_for(unit)
+        for label, t, fragment in _violations(k):
+            want = _constructed(k, t)
+            assert isinstance(want, ValueError), label
+            assert fragment in str(want), label
+            for lower in (k.lower, lambda t: k.lower_batch([t])):
+                with pytest.raises(ValueError) as got:
+                    lower(t)
+                assert str(got.value) == str(want), label
+
+    @pytest.mark.parametrize("unit", GEOMETRIES, ids=geometry_ids)
+    def test_one_bad_lane_in_a_wide_batch(self, unit):
+        k = kernel_for(unit)
+        good = _legal_tuples(k, 1024)
+        assert k.lower_batch(good) == [_constructed(k, t) for t in good]
+        violations = _violations(k)
+        for label, t, _fragment in violations:
+            ts = good[:512] + [t] + good[513:]
+            with pytest.raises(ValueError) as got:
+                k.lower_batch(ts)
+            assert str(got.value) == str(_constructed(k, t)), label
+        # the first bad lane raises, as a per-lane loop would
+        first, last = violations[0][1], violations[-1][1]
+        ts = good[:300] + [first] + good[301:700] + [last] + good[701:]
+        with pytest.raises(ValueError) as got:
+            k.lower_batch(ts)
+        assert str(got.value) == str(_constructed(k, first))
+
+    @pytest.mark.parametrize("unit", GEOMETRIES, ids=geometry_ids)
+    def test_legal_edges_build_as_constructed(self, unit):
+        """Every legal bit set, both exponent limits, and the fields the
+        constructors drop: a NORMAL lane's sign hint, and everything but
+        class and hint of a non-NORMAL lane (never checked)."""
+        k = kernel_for(unit)
+        edges = [
+            (CS_NORMAL, k.emin, k.mmask, k.mcmask, k.bmask, k.rcmask, 0),
+            (CS_NORMAL, k.emax, 0, 0, 0, 0, 1),
+            (CS_ZERO, k.emax + 1, -1, -1, 1 << 200, -5, 1),
+            (CS_INF, k.emin - 1, 1 << 300, 0, 0, 0, 0),
+            (CS_NAN, 0, 0, -1, 0, 0, 1),
+        ]
+        got = k.lower_batch(edges)
+        assert got == [_constructed(k, t) for t in edges]
+        assert [k.lower(t) for t in edges] == got
+        assert k.lower_batch([]) == []
+
+    @pytest.mark.parametrize("unit", GEOMETRIES, ids=geometry_ids)
+    @seed(20260806)
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_hypothesis_batches(self, unit, data):
+        k = kernel_for(unit)
+        ts = data.draw(st.lists(cs_tuples(k), max_size=12))
+        assert k.lower_batch(ts) == [_constructed(k, t) for t in ts]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ import random
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +38,7 @@ from repro.batch import (BACKENDS, dot_batch, fma_batch, select_engine,
                          vector_kernel_for)
 from repro.batch.engines import BACKEND_ENV
 from repro.fma import FcsFmaUnit, PcsFmaUnit, cs_to_ieee
-from repro.fp import BINARY32, BINARY64, EXTENDED68, FPValue
+from repro.fp import BINARY32, BINARY64, EXTENDED68, FpClass, FPValue
 from repro.guard.residue import guarding
 from repro.telemetry import collecting
 
@@ -98,8 +99,6 @@ class TestGoldenCorpus:
         """Corpus words rearranged into dot lanes: ``dot_many_words``
         (the serve whole-payload path) vs the tuple chain, bitwise.
         Lanes containing Inf/NaN exercise the internal deferral."""
-        import numpy as np
-
         vk = vector_kernel_for(unit)
         assert vk is not None
         words_a = [int(c["a"], 16) for c in CASES]
@@ -170,6 +169,148 @@ def test_dot_hybrid_bit_identical(pairs, unit_id):
     got = cs_to_ieee(vk.kernel.lower(vk.dot_hybrid(a, b)))
     ref = dot_batch(a, b, unit=unit, backend="tuple")
     assert word_of(got) == word_of(ref)
+
+
+# ---------------------------------------------------------------------------
+# the lowered CSFloats, field by field
+
+
+def assert_same_lowering(unit, a, b, c) -> list:
+    """The lane engine, the tuple kernel and the faithful loop build
+    ``==`` CSFloat lists: every field, carry planes, rounding block and
+    sign hint included, not only the binary64 they round to.  Every
+    field is a Python ``int`` (the class an :class:`FpClass`), never a
+    NumPy scalar.  Returns the lane engine's list."""
+    vec = fma_batch(a, b, c, unit=unit, backend="vector")
+    tup = fma_batch(a, b, c, unit=unit, backend="tuple")
+    ref = fma_batch(a, b, c, unit=unit, use_batch=False)
+    assert len(vec) == len(tup) == len(ref) == len(a)
+    for i, (v, t, r) in enumerate(zip(vec, tup, ref)):
+        assert v == r, i
+        assert t == r, i
+        for x in (v, t):
+            assert type(x.cls) is FpClass, i
+            assert type(x.exp) is int and type(x.sign_hint) is int, i
+            for n in (x.mant, x.round_data):
+                assert all(type(f) is int for f in (
+                    n.sum, n.carry, n.width, n.carry_mask)), i
+    return vec
+
+
+def _normal_words(rng, n):
+    return [(rng.getrandbits(1) << 63) | (rng.randint(1023 - 40, 1023 + 40)
+                                          << 52) | rng.getrandbits(52)
+            for _ in range(n)]
+
+
+class TestLoweredFields:
+    """The word comparisons above cannot see a wrong carry plane,
+    rounding block or sign hint that rounds to the same binary64; these
+    compare the ``CSFloat`` lists themselves."""
+
+    @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)
+    def test_corpus(self, unit):
+        assert_same_lowering(unit, *corpus_operands())
+
+    @pytest.mark.parametrize("n", [0, 1, 1025],
+                             ids=["empty", "one-lane", "tile-plus-one"])
+    @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)
+    def test_batch_widths(self, unit, n):
+        """No lanes, one lane, and one lane past the 1024-lane tree
+        tile."""
+        rng = random.Random(n)
+        a, b, c = ([from_word(w) for w in _normal_words(rng, n)]
+                   for _ in "abc")
+        assert_same_lowering(unit, a, b, c)
+
+    @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)
+    def test_every_lane_defers(self, unit):
+        """Each lane holds a NaN or an Inf somewhere, so none stays on
+        the lane engine."""
+        rng = random.Random(7)
+        specials = [0x7FF0000000000000, 0xFFF0000000000000,
+                    0x7FF8000000000000, 0x7FF8000000000001]
+        words = [_normal_words(rng, 48) for _ in "abc"]
+        for i in range(48):
+            words[i % 3][i] = specials[i % 4]
+        a, b, c = ([from_word(w) for w in ws] for ws in words)
+        with collecting() as t:
+            out = assert_same_lowering(unit, a, b, c)
+        counters = t.snapshot().counters
+        assert counters["batch.vector.deferred.special"] == 48
+        assert counters.get("batch.vector.lanes", 0) == 0
+        assert {x.cls for x in out} == {FpClass.INF, FpClass.NAN}
+
+    @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)
+    def test_cs_operands_mixed_in(self, unit):
+        """CS operands with live carry planes and rounding blocks (the
+        results of a first batch) in some lanes, binary64 in the rest."""
+        a, b, c = corpus_operands()
+        r = fma_batch(a, b, c, unit=unit, backend="tuple")
+        assert any(x.is_normal and x.mant.carry and x.round_data.sum
+                   for x in r)
+        a = [r[i] if i % 3 == 0 else x for i, x in enumerate(a)]
+        c = [r[-i] if i % 5 == 1 else x for i, x in enumerate(c)]
+        n_cs = sum(i % 3 == 0 or i % 5 == 1 for i in range(len(a)))
+        with collecting() as t:
+            assert_same_lowering(unit, a, b, c)
+        counters = t.snapshot().counters
+        assert counters["batch.vector.deferred.cs-operand"] == n_cs
+
+    @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)
+    def test_lower_lanes_matches_per_lane_loop(self, unit):
+        """The column lowering builds the tuples the per-lane ``int()``
+        loop it replaced built, on the corpus's lane-engine results
+        (ZERO lanes with either sign hint included), and on the same
+        cols with some NORMAL lanes relabelled ZERO/INF, whose digits a
+        non-NORMAL tuple must drop."""
+        vk = vector_kernel_for(unit)
+        a, b, c = (np.array([int(x[k], 16) for x in CASES], np.uint64)
+                   for k in "abc")
+        acs, _ab, spec = vk.lift_words(a)
+        _cb, bcs, spec_b = vk.lift_words(b)
+        ccs, _xb, spec_c = vk.lift_words(c)
+        defer = spec | spec_b | spec_c
+        for cols in (acs, bcs, ccs):
+            cols["cls"] = np.where(defer, 0, cols["cls"])
+        cols = vk.fma_lanes(acs, bcs, ccs)
+        got = vk.lower_lanes(cols)
+        assert got == _lower_lanes_loop(vk, cols)
+        assert {(0, 0), (0, 1), (1, 0)} <= {(t[0], t[6]) for t in got}
+        assert all(type(f) is int for t in got for f in t)
+        relabelled = dict(cols, cls=cols["cls"].copy())
+        relabelled["cls"][::7] = 0
+        relabelled["cls"][3::7] = 2
+        got = vk.lower_lanes(relabelled)
+        assert got == _lower_lanes_loop(vk, relabelled)
+
+
+def _lower_lanes_loop(vk, cols) -> list:
+    """The per-lane loop ``lower_lanes`` replaced (the reference)."""
+    out = []
+    for i in range(cols["cls"].shape[0]):
+        ci = int(cols["cls"][i])
+        if ci != 1:
+            out.append((ci, 0, 0, 0, 0, 0, int(cols["sh"][i])))
+            continue
+        ms = mcs = 0
+        for j in range(vk.MD):
+            ms |= int(cols["m"][i, j]) << (vk.BB * j)
+            mcs |= int(cols["mc"][i, j]) << (vk.BB * j)
+        out.append((1, int(cols["exp"][i]), ms, mcs, int(cols["rs"][i]),
+                    int(cols["rc"][i]), 0))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(word_strategy(), word_strategy(),
+                          word_strategy()),
+                min_size=16, max_size=48),
+       st.sampled_from(unit_ids))
+def test_fma_lane_batches_fields_equal(triples, unit_id):
+    unit = UNITS[unit_ids.index(unit_id)]
+    assert_same_lowering(unit, *([from_word(t[k]) for t in triples]
+                                 for k in range(3)))
 
 
 # ---------------------------------------------------------------------------

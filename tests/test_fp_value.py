@@ -1,6 +1,7 @@
 """Unit + property tests for repro.fp.value (FPValue)."""
 
 import math
+import struct
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from conftest import normal_doubles
 from repro.fp import (BINARY32, BINARY64, EXTENDED75, FpClass, FPValue,
-                      RoundingMode)
+                      RoundingMode, fp_to_word, word_to_fp)
 
 
 class TestFromToFloat:
@@ -132,3 +133,30 @@ class TestWiderFormats:
 
     def test_binary32_flushes_small_doubles(self):
         assert FPValue.from_fraction(Fraction(1, 2**200), BINARY32).is_zero
+
+
+class TestWordCodec:
+    """The one binary64 word codec (``repro.fp``; ``repro.serve.protocol``
+    re-exports it)."""
+
+    @given(st.integers(0, (1 << 64) - 1))
+    def test_word_roundtrip(self, word):
+        x = word_to_fp(word)
+        be, frac = (word >> 52) & 0x7FF, word & ((1 << 52) - 1)
+        if be == 0x7FF and frac:
+            assert x.is_nan and fp_to_word(x) == 0x7FF8000000000000
+        elif be == 0:      # zero or subnormal: flushes to signed zero
+            assert x.is_zero and fp_to_word(x) == word & (1 << 63)
+        else:
+            assert fp_to_word(x) == word
+
+    @given(normal_doubles())
+    def test_matches_the_float_bits(self, x):
+        v = FPValue.from_float(x)
+        assert fp_to_word(v) == struct.unpack("<Q", struct.pack("<d", x))[0]
+
+    def test_serve_protocol_reexports_it(self):
+        from repro.serve import protocol
+
+        assert protocol.fp_to_word is fp_to_word
+        assert protocol.word_to_fp is word_to_fp
