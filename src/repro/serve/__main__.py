@@ -57,8 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--backend", choices=("auto", "vector", "tuple",
                                           "faithful"), default=None,
                     help="default batch backend for requests that do "
-                         "not pin one (default: auto, which prefers "
-                         "the NumPy vector engine)")
+                         "not pin one (default: auto, which runs the "
+                         "tuple kernel below the lane engine's measured "
+                         "crossovers of 768 fma lanes, 72 dots per "
+                         "payload or 1280 elements per dot; the "
+                         "default --max-batch 64 reaches neither "
+                         "batch size)")
     ap.add_argument("--self-test", action="store_true",
                     help="run a seeded in-process workload and exit")
     ap.add_argument("--self-test-requests", type=int, default=500)

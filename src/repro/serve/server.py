@@ -14,8 +14,11 @@ produce for that request (see ``tests/test_serve_differential.py``).
 The serving layer only ever *groups* requests; it never reassociates
 work across them.
 
-Telemetry (armed via ``repro.telemetry.collecting()``; all serve-layer
-instruments fire on the event-loop thread):
+The server counts its own events once: every ``serve.*`` counter and
+gauge below goes into an always-on store (:attr:`FmaServer.stats`
+reads it) and, while ``repro.telemetry.collecting()`` is armed, into
+the collector under the same tag.  Spans are collector-only.  All
+serve-layer instruments fire on the event-loop thread:
 
 =============================== ====== ==============================
 ``serve.requests.admitted``     count  requests past admission
@@ -30,6 +33,7 @@ instruments fire on the event-loop thread):
 ``serve.guard.<status>``        count  verified batches per guard
                                        classification (``clean`` /
                                        ``corrected``/``uncorrectable``)
+``serve.batch.max_size``        gauge  largest batch formed
 ``serve.pending``               gauge  high-water queued+in-flight
 ``serve.queue.depth.<key>``     gauge  high-water per-class depth
 ``serve.admission.window``      gauge  high-water slow-start window
@@ -48,6 +52,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..faults.resilient import RetryPolicy
+from ..telemetry import Telemetry
 from ..telemetry import core as _tm
 from .admission import AdmissionController
 from .batcher import Entry, MicroBatcher
@@ -56,6 +61,23 @@ from .protocol import (ProtocolError, Request, Response, decode_request,
                        encode_response)
 
 __all__ = ["ServeConfig", "FmaServer"]
+
+#: :attr:`FmaServer.stats` keys and the tag each one reads (a counter,
+#: except the ``serve.batch.max_size`` gauge)
+_STAT_TAGS = {
+    "admitted": "serve.requests.admitted",
+    "ok": "serve.responses.ok",
+    "error": "serve.responses.error",
+    "batches": "serve.batches",
+    "shed_deadline": "serve.shed.deadline",
+    "exec_failures": "serve.exec.failures",
+    "retries": "serve.exec.retries",
+    "max_batch_size": "serve.batch.max_size",
+    **{f"rejected.{r}": f"serve.requests.rejected.{r}"
+       for r in ("queue-full", "slow-start", "deadline", "draining")},
+    **{f"guard.{g}": f"serve.guard.{g}"
+       for g in ("clean", "corrected", "uncorrectable")},
+}
 
 
 @dataclass
@@ -127,14 +149,27 @@ class FmaServer:
             timeout_s=self.config.exec_timeout_s,
             retry=self.config.retry, rng_seed=self.config.rng_seed,
             work_fn=self.config.work_fn)
-        self.stats: dict[str, int] = {
-            "admitted": 0, "ok": 0, "error": 0, "batches": 0,
-            "shed_deadline": 0, "exec_failures": 0, "retries": 0,
-            "max_batch_size": 0}
-        for reason in ("queue-full", "slow-start", "deadline", "draining"):
-            self.stats[f"rejected.{reason}"] = 0
-        for status in ("clean", "corrected", "uncorrectable"):
-            self.stats[f"guard.{status}"] = 0
+        # always-on serve.* counters and gauges; ``stats`` reads them
+        self._counts = Telemetry()
+
+    @property
+    def stats(self) -> dict[str, int]:
+        """The server's event counts as a plain dict, read from its
+        always-on ``serve.*`` store."""
+        seen = {**self._counts.counters, **self._counts.gauges}
+        return {key: seen.get(tag, 0) for key, tag in _STAT_TAGS.items()}
+
+    def _count(self, tag: str, n: int = 1) -> None:
+        self._counts.count(tag, n)
+        tm = _tm.ACTIVE
+        if tm is not None:
+            tm.count(tag, n)
+
+    def _gauge(self, tag: str, value: int) -> None:
+        self._counts.gauge(tag, value)
+        tm = _tm.ACTIVE
+        if tm is not None:
+            tm.gauge(tag, value)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -201,13 +236,10 @@ class FmaServer:
         entry = Entry(req=req, fut=loop.create_future(), t_enqueue=now,
                       deadline=None if timeout is None else now + timeout)
         key = self._batcher.put(entry)
-        tm = _tm.ACTIVE
-        if tm is not None:
-            tm.gauge(f"serve.queue.depth.{key}", self._batcher.depth(key))
+        self._gauge(f"serve.queue.depth.{key}", self._batcher.depth(key))
         return await entry.fut
 
     def _admit(self, req: Request) -> Response | None:
-        tm = _tm.ACTIVE
         if self._draining:
             reason = "draining"
         elif (req.timeout_s is not None and req.timeout_s <= 0):
@@ -215,16 +247,11 @@ class FmaServer:
         else:
             reason = self.admission.try_admit()
         if reason is not None:
-            self.stats[f"rejected.{reason}"] += 1
-            if tm is not None:
-                tm.count(f"serve.requests.rejected.{reason}")
+            self._count(f"serve.requests.rejected.{reason}")
             return Response(req.req_id, "rejected", reason=reason)
-        self.stats["admitted"] += 1
-        if tm is not None:
-            tm.count("serve.requests.admitted")
-            tm.gauge("serve.pending", self.admission.pending)
-            tm.gauge("serve.admission.window",
-                     int(self.admission.window))
+        self._count("serve.requests.admitted")
+        self._gauge("serve.pending", self.admission.pending)
+        self._gauge("serve.admission.window", int(self.admission.window))
         return None
 
     # -- batch execution -----------------------------------------------
@@ -241,18 +268,13 @@ class FmaServer:
             live = self._shed_expired(entries, now)
             if not live:
                 return
-            tm = _tm.ACTIVE
             n = len(live)
-            self.stats["batches"] += 1
-            if n > self.stats["max_batch_size"]:
-                self.stats["max_batch_size"] = n
+            self._count("serve.batches")
+            self._count(f"serve.batches.{key}")
+            self._count(f"serve.batch.size_le.{1 << (n - 1).bit_length()}")
+            self._gauge("serve.batch.max_size", n)
+            tm = _tm.ACTIVE
             if tm is not None:
-                tm.count("serve.batches")
-                tm.count(f"serve.batches.{key}")
-                bucket = 1
-                while bucket < n:
-                    bucket <<= 1
-                tm.count(f"serve.batch.size_le.{bucket}")
                 for e in live:
                     tm.observe("serve.stage.queue",
                                int((now - e.t_enqueue) * 1e9))
@@ -269,18 +291,12 @@ class FmaServer:
                 tm.observe("serve.stage.exec",
                            time.perf_counter_ns() - t0)
             if guard is not None:
-                self.stats[f"guard.{guard}"] += 1
-                if tm is not None:
-                    tm.count(f"serve.guard.{guard}")
+                self._count(f"serve.guard.{guard}")
             meta = {} if guard is None else {"guard": guard}
             if guard is None and attempts > 1:
-                self.stats["retries"] += attempts - 1
-                if tm is not None:
-                    tm.count("serve.exec.retries", attempts - 1)
+                self._count("serve.exec.retries", attempts - 1)
             if error is not None:
-                self.stats["exec_failures"] += 1
-                if tm is not None:
-                    tm.count("serve.exec.failures")
+                self._count("serve.exec.failures")
                 self.admission.on_failure()
                 for e in live:
                     self._resolve(e, Response(
@@ -315,25 +331,16 @@ class FmaServer:
             else:
                 live.append(e)
         if shed:
-            self.stats["shed_deadline"] += shed
-            tm = _tm.ACTIVE
-            if tm is not None:
-                tm.count("serve.shed.deadline", shed)
+            self._count("serve.shed.deadline", shed)
             self.admission.on_failure()
         return live
 
     def _resolve(self, entry: Entry, resp: Response) -> None:
         self.admission.release()
-        if resp.status == "ok":
-            self.stats["ok"] += 1
-        elif resp.status == "error":
-            self.stats["error"] += 1
+        if resp.status in ("ok", "error"):
+            self._count(f"serve.responses.{resp.status}")
         tm = _tm.ACTIVE
         if tm is not None:
-            if resp.status == "ok":
-                tm.count("serve.responses.ok")
-            elif resp.status == "error":
-                tm.count("serve.responses.error")
             tm.observe("serve.request.total",
                        int((self._loop.time() - entry.t_enqueue) * 1e9))
         if not entry.fut.done():

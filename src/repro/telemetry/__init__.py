@@ -5,7 +5,8 @@ exploration without measurement is guesswork: this subsystem makes the
 datapath *observable* -- which Fig. 10 Zero-Detector block classes fire,
 whether the scalar units normalize through the ZD or the LZA, how often
 a product falls below the window, how shards and campaigns spend their
-time, whether a change regressed throughput.
+time.  Speed itself is measured by the repository benchmark
+(``perfbench/``), not here.
 
 The design mirrors :mod:`repro.probes` (the SEU fault-injection arm
 layer): instrumented code performs a single module-global ``None`` check
@@ -37,9 +38,9 @@ Public surface::
     snap = t.snapshot(label="run-1")
     print(to_prometheus(snap))
 
-``python -m repro.telemetry`` captures benchmark snapshots
-(``BENCH_telemetry.json``), diffs two snapshots with a regression gate,
-checks datapath coverage, and exports Prometheus text.  See
+``python -m repro.telemetry`` captures a snapshot of a fixed workload
+(``BENCH_telemetry.json``), checks its datapath coverage, and exports
+Prometheus text.  See
 ``docs/OBSERVABILITY.md`` for the tag catalogue and how to add a new
 instrument.
 """

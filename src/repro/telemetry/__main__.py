@@ -1,21 +1,16 @@
-"""Telemetry snapshot CLI: capture, diff, gate, export.
+"""Telemetry snapshot CLI: capture, coverage gate, export.
 
 Usage::
 
     python -m repro.telemetry capture [-o BENCH_telemetry.json] [--quick]
-    python -m repro.telemetry diff OLD NEW [--max-regression 0.10]
     python -m repro.telemetry coverage FILE
     python -m repro.telemetry export FILE [--format prometheus|json]
-    python -m repro.telemetry degrade IN OUT [--factor 0.85]
 
 ``capture`` runs the standard workload (:mod:`repro.telemetry.capture`)
-and writes the envelope; CI keeps the file as the build's benchmark
-artifact.  ``diff`` compares two envelopes' throughput metrics and
-exits 1 when any metric dropped past ``--max-regression``; ``coverage``
-exits 1 when any :data:`~repro.telemetry.gates.REQUIRED_COVERAGE`
-branch was never exercised.  ``degrade`` scales an envelope's metrics
-down by ``--factor`` -- a seeded regression for testing the gate
-itself.
+and writes the envelope; CI keeps the file as the build's telemetry
+artifact.  ``coverage`` exits 1 when any
+:data:`~repro.telemetry.gates.REQUIRED_COVERAGE` branch was never
+exercised.
 """
 
 from __future__ import annotations
@@ -25,8 +20,7 @@ import json
 import sys
 
 from .export import snapshot_from_dict, to_prometheus
-from .gates import (REQUIRED_COVERAGE, find_regressions, format_regressions,
-                    missing_coverage)
+from .gates import REQUIRED_COVERAGE, missing_coverage
 
 __all__ = ["main"]
 
@@ -49,29 +43,7 @@ def _cmd_capture(args) -> int:
                            seed=args.seed)
     _dump(env, args.output)
     n = len(env["snapshot"]["counters"])
-    print(f"captured {n} counters, "
-          f"{len(env['metrics'])} metrics -> {args.output}")
-    for name, val in sorted(env["metrics"].items()):
-        print(f"  {name}: {val:.3g} ops/s")
-    return 0
-
-
-def _cmd_diff(args) -> int:
-    old, new = _load(args.old), _load(args.new)
-    regressions = find_regressions(old, new,
-                                   max_regression=args.max_regression)
-    shared = sorted(set(old.get("metrics", {}))
-                    & set(new.get("metrics", {})))
-    if not shared:
-        print("no shared metrics to compare", file=sys.stderr)
-        return 2
-    if regressions:
-        print(f"REGRESSION: {len(regressions)} metric(s) dropped more "
-              f"than {args.max_regression * 100.0:.0f}%:")
-        print(format_regressions(regressions))
-        return 1
-    print(f"ok: {len(shared)} metric(s) within "
-          f"{args.max_regression * 100.0:.0f}% of baseline")
+    print(f"captured {n} counters -> {args.output}")
     return 0
 
 
@@ -102,21 +74,10 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _cmd_degrade(args) -> int:
-    env = _load(args.input)
-    env["metrics"] = {k: v * args.factor
-                      for k, v in env.get("metrics", {}).items()}
-    env["label"] = (env.get("label", "")
-                    + f" [degraded x{args.factor}]").strip()
-    _dump(env, args.output)
-    print(f"wrote {args.output} with metrics scaled by {args.factor}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
-        description="Capture, diff, gate and export telemetry "
+        description="Capture, coverage-gate and export telemetry "
                     "snapshots of the repro datapaths.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -129,14 +90,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="skip the conformance mini-sweep")
     p.set_defaults(fn=_cmd_capture)
 
-    p = sub.add_parser("diff", help="regression-gate NEW against OLD")
-    p.add_argument("old")
-    p.add_argument("new")
-    p.add_argument("--max-regression", type=float, default=0.10,
-                   help="allowed fractional throughput drop "
-                        "(default 0.10)")
-    p.set_defaults(fn=_cmd_diff)
-
     p = sub.add_parser("coverage",
                        help="check the required-datapath coverage gate")
     p.add_argument("file")
@@ -147,14 +100,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--format", choices=("json", "prometheus"),
                    default="json")
     p.set_defaults(fn=_cmd_export)
-
-    p = sub.add_parser("degrade",
-                       help="scale an envelope's metrics down (seed a "
-                            "regression to test the gate)")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.add_argument("--factor", type=float, default=0.85)
-    p.set_defaults(fn=_cmd_degrade)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -5,7 +5,6 @@
 as a JSON-serializable *envelope*::
 
     {"schema": 1, "label": ..., "config": {...},
-     "metrics": {"dot@4096": ops_per_s, ...},
      "snapshot": {...}}           # repro.telemetry.export format
 
 The workload has three parts:
@@ -15,9 +14,10 @@ The workload has three parts:
   Fig. 10 ZD block classes, both normalization selectors, the
   product-below-window / cancellation / overflow / flush window edges,
   and the IEEE special cases;
-* **throughput probes** (``dot@4096`` and friends) timed with
-  ``perf_counter`` best-of-N, feeding the ``metrics`` section the
-  regression gate diffs;
+* one untimed ``dot_batch`` over 4096 pairs and one ``fma_batch`` over
+  1024 lanes, so the ``batch.*`` counters and the ``batch.dot.kernel``
+  span appear in the snapshot (speed is measured by ``perfbench/``,
+  not here);
 * a **miniature conformance sweep** plus a memo-stat publish, so the
   runner/cache counters appear in the snapshot too.
 """
@@ -26,24 +26,12 @@ from __future__ import annotations
 
 import platform
 import random
-import time
 
 from ..fp import BINARY64, FPValue, double
 from .core import Telemetry, collecting
 from .export import SCHEMA_VERSION, snapshot_to_dict
 
-__all__ = ["capture_envelope", "run_coverage_kit", "make_vectors"]
-
-
-def make_vectors(n: int, seed: int = 0, spread: int = 40):
-    """Deterministic operand vectors with a wide exponent spread."""
-    rng = random.Random(seed)
-
-    def mk():
-        return double(rng.choice([-1, 1]) * rng.uniform(1.0, 2.0)
-                      * 2.0 ** rng.randint(-spread, spread))
-
-    return [mk() for _ in range(n)], [mk() for _ in range(n)]
+__all__ = ["capture_envelope", "run_coverage_kit"]
 
 
 def run_coverage_kit() -> None:
@@ -82,38 +70,17 @@ def run_coverage_kit() -> None:
         unit.fma(lift(1.0), inf, lift(2.0))
 
 
-def _ops_per_s(fn, n_ops: int, *, repeats: int = 3) -> float:
-    """Best-of-``repeats`` throughput of ``fn`` in operations/second."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return n_ops / best if best > 0 else float("inf")
+def _run_batch_calls() -> None:
+    """Drive both batch entry points once, on wide-exponent normals."""
+    from ..batch import dot_batch, fma_batch
+    from ..fma import FcsFmaUnit
 
-
-def _throughput_metrics() -> dict[str, float]:
-    from ..batch import dot_batch, fma_batch, kernel_for
-    from ..fma import FcsFmaUnit, ieee_to_cs
-
+    rng = random.Random(0)
+    xs = [double(rng.uniform(-2.0, 2.0) * 2.0 ** rng.randint(-40, 40))
+          for _ in range(2 * 4096)]
     unit = FcsFmaUnit()
-    kernel_for(unit)  # compile outside timing
-    a4, b4 = make_vectors(4096, seed=0)
-    a1, b1 = make_vectors(1024, seed=1)
-    c1 = [double(0.0)] * len(a1)
-    sa, sb = make_vectors(64, seed=2, spread=8)
-    acc0 = ieee_to_cs(double(0.0), unit.params)
-
-    def scalar_loop():
-        for x, y in zip(sa, sb):
-            unit.fma(acc0, x, ieee_to_cs(y, unit.params))
-
-    return {
-        "dot@4096": _ops_per_s(lambda: dot_batch(a4, b4, unit=unit), 4096),
-        "fma_batch@1024": _ops_per_s(
-            lambda: fma_batch(c1, a1, b1, unit=unit), 1024),
-        "scalar_fma@64": _ops_per_s(scalar_loop, 64),
-    }
+    dot_batch(xs[:4096], xs[4096:], unit=unit)
+    fma_batch([double(0.0)] * 1024, xs[:1024], xs[1024:2048], unit=unit)
 
 
 def capture_envelope(label: str = "", *, quick: bool = False,
@@ -121,13 +88,13 @@ def capture_envelope(label: str = "", *, quick: bool = False,
     """Run the capture workload; return the envelope dict.
 
     ``quick`` skips the conformance mini-sweep (the slowest part) --
-    used by tests that only need coverage + metrics.
+    used by tests that only need the coverage and batch counters.
     """
     from ..batch.memo import publish_cache_stats
 
     with collecting(Telemetry()) as t:
         run_coverage_kit()
-        metrics = _throughput_metrics()
+        _run_batch_calls()
         if not quick:
             from ..conformance import run_sweep
             run_sweep(shards=2, workers=1, seed=seed, cases=8,
@@ -145,6 +112,5 @@ def capture_envelope(label: str = "", *, quick: bool = False,
             "argv_seed": seed,
             "quick": quick,
         },
-        "metrics": metrics,
         "snapshot": snapshot_to_dict(snap),
     }

@@ -1,26 +1,19 @@
-"""Coverage and regression gates over telemetry snapshots.
+"""The coverage gate over telemetry snapshots.
 
-Two gates share this module so the CLI (``python -m repro.telemetry``)
-and the test suite enforce exactly the same policy:
-
-* **Coverage gate** -- :data:`REQUIRED_COVERAGE` lists every datapath
-  branch the Fig. 10 Zero Detector taxonomy and the scalar FMA's
-  fast/slow normalization split can take.  A workload whose snapshot
-  leaves any of these counters at zero has a dead path: either the
-  vectors stopped exercising it or an edit made the branch unreachable.
-* **Regression gate** -- :func:`find_regressions` compares the
-  ``metrics`` section of two capture envelopes (throughput figures in
-  ops/s) and flags any metric that dropped by more than the allowed
-  fraction.  The CLI exits non-zero when the gate trips, so CI can diff
-  ``BENCH_telemetry.json`` against the previous run.
+The CLI (``python -m repro.telemetry coverage``) and the test suite
+share this module so they enforce exactly the same policy:
+:data:`REQUIRED_COVERAGE` lists every datapath branch the Fig. 10 Zero
+Detector taxonomy and the scalar FMA's fast/slow normalization split
+can take.  A workload whose snapshot leaves any of these counters at
+zero has a dead path: either the vectors stopped exercising it or an
+edit made the branch unreachable.
 """
 
 from __future__ import annotations
 
 from .snapshot import Snapshot
 
-__all__ = ["REQUIRED_COVERAGE", "missing_coverage", "check_coverage",
-           "find_regressions", "format_regressions"]
+__all__ = ["REQUIRED_COVERAGE", "missing_coverage", "check_coverage"]
 
 #: Counter tags that any full capture workload must drive at least once.
 #: One entry per architectural branch of the scalar CS-FMA datapath:
@@ -60,36 +53,3 @@ def check_coverage(snap: Snapshot,
             "datapath coverage gate failed; never exercised: "
             + ", ".join(missing))
 
-
-def find_regressions(old: dict, new: dict, *,
-                     max_regression: float = 0.10) -> list[dict]:
-    """Metrics in ``new`` that regressed past the allowed fraction.
-
-    ``old``/``new`` are capture envelopes (see
-    :func:`repro.telemetry.capture.capture_envelope`); their ``metrics``
-    maps benchmark names to ops/s, so *lower is worse*.  Metrics present
-    on only one side are ignored -- adding or retiring a benchmark is
-    not a regression.
-    """
-    if not 0.0 <= max_regression < 1.0:
-        raise ValueError("max_regression must be in [0, 1)")
-    out = []
-    old_m = old.get("metrics", {})
-    new_m = new.get("metrics", {})
-    for name in sorted(set(old_m) & set(new_m)):
-        before, after = float(old_m[name]), float(new_m[name])
-        if before <= 0.0:
-            continue
-        drop = 1.0 - after / before
-        if drop > max_regression:
-            out.append({"metric": name, "old": before, "new": after,
-                        "drop": drop})
-    return out
-
-
-def format_regressions(regressions: list[dict]) -> str:
-    lines = []
-    for r in regressions:
-        lines.append(f"  {r['metric']}: {r['old']:.3g} -> {r['new']:.3g} "
-                     f"ops/s ({r['drop'] * 100.0:.1f}% slower)")
-    return "\n".join(lines)

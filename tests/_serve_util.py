@@ -18,6 +18,36 @@ def run(coro):
     return asyncio.run(coro)
 
 
+#: each ``FmaServer.stats`` key and the telemetry tag that counts the
+#: same event (all counters but the ``serve.batch.max_size`` gauge)
+STAT_TAGS = {
+    "admitted": "serve.requests.admitted",
+    "ok": "serve.responses.ok",
+    "error": "serve.responses.error",
+    "batches": "serve.batches",
+    "shed_deadline": "serve.shed.deadline",
+    "exec_failures": "serve.exec.failures",
+    "retries": "serve.exec.retries",
+    "max_batch_size": "serve.batch.max_size",
+    "rejected.queue-full": "serve.requests.rejected.queue-full",
+    "rejected.slow-start": "serve.requests.rejected.slow-start",
+    "rejected.deadline": "serve.requests.rejected.deadline",
+    "rejected.draining": "serve.requests.rejected.draining",
+    "guard.clean": "serve.guard.clean",
+    "guard.corrected": "serve.guard.corrected",
+    "guard.uncorrectable": "serve.guard.uncorrectable",
+}
+
+
+def assert_stats_counted(stats: dict, telemetry) -> None:
+    """Each ``stats`` value equals the armed collector's count of the
+    same event, so the server counts every event once for both."""
+    seen = {**telemetry.counters, **telemetry.gauges}
+    assert set(stats) == set(STAT_TAGS)
+    for key, value in stats.items():
+        assert value == seen.get(STAT_TAGS[key], 0), key
+
+
 def payload_digest(payload: dict) -> int:
     """Stable digest of a payload (drives deterministic chaos delays)."""
     text = repr((payload["op"], payload["fmt"], payload["items"]))

@@ -5,7 +5,7 @@ and ``--help`` epilog):
 
 * **0** -- success, including ``--help`` and pure listings;
 * **1** -- the tool ran and failed (mismatches, incomplete campaign,
-  lost responses, regression gate tripped);
+  lost responses, coverage gate tripped);
 * **2** -- bad arguments: unknown flags *and* semantically invalid
   values, via ``parser.error`` (usage on stderr, argparse convention).
 

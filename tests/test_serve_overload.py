@@ -15,9 +15,10 @@ import pytest
 from repro.faults.resilient import RetryPolicy
 from repro.serve import (AdmissionController, FmaServer, Request,
                          ServeConfig)
+from repro.telemetry import collecting
 
-from _serve_util import (always_fail_execute, flaky_execute, hang_execute,
-                         run, slow_execute)
+from _serve_util import (always_fail_execute, assert_stats_counted,
+                         flaky_execute, hang_execute, run, slow_execute)
 
 pytestmark = pytest.mark.serial
 
@@ -82,7 +83,9 @@ class TestQueueBound:
                     *(s.submit(fma_req(i)) for i in range(50)))
                 return resps, dict(s.stats)
 
-        resps, stats = run(body())
+        with collecting() as t:
+            resps, stats = run(body())
+        assert_stats_counted(stats, t)
         assert len(resps) == 50
         ok = [r for r in resps if r.ok]
         rejected = [r for r in resps if r.status == "rejected"]
@@ -107,9 +110,12 @@ class TestQueueBound:
                         *(s.submit(fma_req(100 * wave + i))
                           for i in range(16)))
                     waves.append(resps)
-                return waves, s.admission.window
+                return waves, s.admission.window, dict(s.stats)
 
-        waves, window = run(body())
+        with collecting() as t:
+            waves, window, stats = run(body())
+        assert_stats_counted(stats, t)
+        assert stats["rejected.slow-start"] > 0
         shed = [r for r in waves[0] if r.status == "rejected"]
         assert len([r for r in waves[0] if r.ok]) == 4   # cold window
         assert shed and {r.reason for r in shed} == {"slow-start"}
@@ -146,11 +152,37 @@ class TestDeadlines:
                       for i in range(3)))
                 return await blocker, tight, dict(s.stats)
 
-        blocker, tight, stats = run(body())
+        with collecting() as t:
+            blocker, tight, stats = run(body())
+        assert_stats_counted(stats, t)
         assert blocker.ok
         assert all(r.status == "rejected" and r.reason == "deadline"
                    for r in tight)
         assert stats["shed_deadline"] == 3
+
+    def test_coalesced_batch_past_deadline_is_shed_at_once(self):
+        """Requests that coalesce into one batch and expire behind a busy
+        worker are shed by one call; ``stats`` and the collector both
+        count every shed request, not the call."""
+        cfg = ServeConfig(workers=1, max_batch=4, max_wait_s=0.002,
+                          slow_start=False, work_fn=slow_execute)
+
+        async def body():
+            async with FmaServer(cfg) as s:
+                blocker = asyncio.ensure_future(s.submit(fma_req("block")))
+                await asyncio.sleep(0.01)       # blocker occupies worker
+                tight = await asyncio.gather(
+                    *(s.submit(fma_req(i, timeout_s=0.01))
+                      for i in range(3)))
+                return await blocker, tight, dict(s.stats)
+
+        with collecting() as t:
+            blocker, tight, stats = run(body())
+        assert_stats_counted(stats, t)
+        assert blocker.ok
+        assert all(r.reason == "deadline" for r in tight)
+        assert stats["shed_deadline"] == 3
+        assert stats["batches"] == 1            # only the blocker ran
 
     def test_deadline_shed_halves_window(self):
         cfg = ServeConfig(workers=1, max_batch=1, max_wait_s=0.0,
@@ -187,9 +219,12 @@ class TestDrain:
             late = await s.submit(fma_req("late"))
             await drainer
             done = await asyncio.gather(*inflight)
-            return done, late, s._started
+            return done, late, s._started, dict(s.stats)
 
-        done, late, started = run(body())
+        with collecting() as t:
+            done, late, started, stats = run(body())
+        assert_stats_counted(stats, t)
+        assert stats["rejected.draining"] == 1
         assert all(r.ok for r in done)           # admitted work finished
         assert late.status == "rejected"
         assert late.reason == "draining"
@@ -222,7 +257,9 @@ class TestResilientExecution:
                     *(s.submit(fma_req(i)) for i in range(4)))
                 return resps, dict(s.stats)
 
-        resps, stats = run(body())
+        with collecting() as t:
+            resps, stats = run(body())
+        assert_stats_counted(stats, t)
         assert all(r.ok for r in resps)
         assert all(r.attempts == 2 for r in resps)
         assert stats["retries"] >= 1
@@ -245,7 +282,9 @@ class TestResilientExecution:
                     *(s.submit(fma_req(i)) for i in range(6)))
                 return resps, dict(s.stats), s.admission.window
 
-        resps, stats, window = run(body())
+        with collecting() as t:
+            resps, stats, window = run(body())
+        assert_stats_counted(stats, t)
         assert all(r.status == "error" for r in resps)
         assert all(r.kind == "exception" for r in resps)
         assert all("injected permanent failure" in r.message

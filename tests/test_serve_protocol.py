@@ -26,7 +26,7 @@ from repro.serve.protocol import (ProtocolError, Response, decode_request,
                                   encode_response, fp_to_word, hex_to_word,
                                   word_to_fp, word_to_hex)
 
-from _serve_util import run
+from _serve_util import assert_stats_counted, run
 
 pytestmark = pytest.mark.serial
 
@@ -500,15 +500,17 @@ class TestServeTelemetry:
             cfg = ServeConfig(max_batch=4, max_wait_s=0.002,
                               slow_start=False, max_pending=2)
             async with FmaServer(cfg) as s:
-                return await asyncio.gather(
+                resps = await asyncio.gather(
                     *(s.submit(Request(req_id=i, op="fma", fmt="pcs",
                                        a=0x3FF0000000000000,
                                        b=0x4000000000000000,
                                        c=0x3FE0000000000000))
                       for i in range(5)))
+                return resps, dict(s.stats)
 
         with collecting() as report:
-            resps = run(body())
+            resps, stats = run(body())
+        assert_stats_counted(stats, report)
         counters = report.counters
         assert sum(1 for r in resps if r.ok) == 2
         assert counters["serve.requests.admitted"] == 2

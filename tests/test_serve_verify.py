@@ -28,7 +28,7 @@ from repro.serve import FmaServer, Request, ServeConfig
 from repro.serve.executor import reference_result
 from repro.telemetry import collecting
 
-from _serve_util import run
+from _serve_util import assert_stats_counted, run
 
 pytestmark = pytest.mark.serial
 
@@ -43,13 +43,18 @@ def fma_req(req_id, fmt="pcs", verify=None) -> Request:
 
 
 def submit_one(req: Request, config: ServeConfig | None = None):
+    """Serve ``req`` under an armed collector; returns the response, the
+    server's ``stats`` and the collector's counters."""
     async def body():
         cfg = config if config is not None else ServeConfig(
             slow_start=False, max_wait_s=0.001)
         async with FmaServer(cfg) as srv:
             return await srv.submit(req), dict(srv.stats)
 
-    return run(body())
+    with collecting() as t:
+        resp, stats = run(body())
+    assert_stats_counted(stats, t)
+    return resp, stats, t.counters
 
 
 def raise_mismatch(payload):
@@ -60,7 +65,7 @@ def raise_mismatch(payload):
 class TestVerifiedSubmit:
     @pytest.mark.parametrize("fmt", ["classic", "pcs", "fcs"])
     def test_clean_path_is_bit_identical(self, fmt):
-        resp, stats = submit_one(fma_req(1, fmt=fmt, verify="residue"))
+        resp, stats, _ = submit_one(fma_req(1, fmt=fmt, verify="residue"))
         assert resp.ok
         assert resp.meta == {"guard": "clean"}
         assert resp.result == reference_result(fma_req(1, fmt=fmt))[1]
@@ -68,12 +73,12 @@ class TestVerifiedSubmit:
 
     @pytest.mark.parametrize("mode", ["residue", "dmr", "tmr"])
     def test_all_verify_levels_serve(self, mode):
-        resp, stats = submit_one(fma_req(2, verify=mode))
+        resp, stats, _ = submit_one(fma_req(2, verify=mode))
         assert resp.ok and resp.meta == {"guard": "clean"}
         assert stats["guard.clean"] == 1
 
     def test_unverified_requests_carry_no_guard_meta(self):
-        resp, stats = submit_one(fma_req(3))
+        resp, stats, _ = submit_one(fma_req(3))
         assert resp.ok and resp.meta == {}
         assert stats["guard.clean"] == 0
 
@@ -84,7 +89,7 @@ class TestVerifiedSubmit:
         # recompute the exact oracle word
         arm = probes.Arm(lambda v: (v[0] ^ (1 << 100), v[1]), at_call=0)
         with probes.armed({"batch.window": arm}):
-            resp, stats = submit_one(fma_req(4, verify="residue"))
+            resp, stats, _ = submit_one(fma_req(4, verify="residue"))
         assert arm.hits == 1
         assert resp.ok
         assert resp.meta == {"guard": "corrected"}
@@ -94,7 +99,7 @@ class TestVerifiedSubmit:
     def test_uncorrectable_is_rejected_never_returned_as_data(self):
         cfg = ServeConfig(slow_start=False, max_wait_s=0.001,
                           work_fn=raise_mismatch)
-        resp, stats = submit_one(fma_req(5, verify="residue"), cfg)
+        resp, stats, _ = submit_one(fma_req(5, verify="residue"), cfg)
         assert not resp.ok
         assert resp.status == "error"
         assert resp.kind == "uncorrectable"
@@ -103,10 +108,8 @@ class TestVerifiedSubmit:
         assert stats["guard.uncorrectable"] == 1
 
     def test_guard_telemetry_flows_through_serve(self):
-        with collecting() as t:
-            resp, _stats = submit_one(fma_req(6, verify="residue"))
+        resp, _stats, counters = submit_one(fma_req(6, verify="residue"))
         assert resp.ok
-        counters = t.snapshot().counters
         assert counters["serve.guard.clean"] == 1
         assert counters["guard.exec.clean"] == 1
         assert counters["guard.checks.product"] >= 1
@@ -124,7 +127,9 @@ class TestVerifiedSubmit:
                     *(srv.submit(r) for r in reqs))
                 return resps, dict(srv.stats)
 
-        resps, stats = run(body())
+        with collecting() as t:
+            resps, stats = run(body())
+        assert_stats_counted(stats, t)
         assert all(r.ok for r in resps)
         plain = [r for r in resps if r.req_id < 10]
         checked = [r for r in resps if r.req_id >= 10]

@@ -2,8 +2,6 @@
 
 Runs the CLI in-process through ``main(argv)`` (fast, same-interpreter)
 and once through an actual subprocess to pin the module entry point.
-The seeded-regression scenario mirrors what CI does: capture a baseline,
-degrade it past the gate, and require a non-zero exit from ``diff``.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 @pytest.fixture(scope="module")
 def baseline(tmp_path_factory) -> Path:
-    """One quick capture shared by the whole module (it times real
-    benchmarks, so run it once)."""
+    """One quick capture shared by the whole module (it runs a 4096-pair
+    dot and a 1024-lane fma batch, so run it once)."""
     out = tmp_path_factory.mktemp("telemetry") / "BENCH_telemetry.json"
     assert main(["capture", "-o", str(out), "--quick",
                  "--label", "baseline"]) == 0
@@ -40,11 +38,10 @@ class TestCapture:
         env = json.loads(baseline.read_text())
         assert env["schema"] == 1
         assert env["label"] == "baseline"
-        assert set(env["metrics"]) == {"dot@4096", "fma_batch@1024",
-                                       "scalar_fma@64"}
-        assert all(v > 0 for v in env["metrics"].values())
+        assert "metrics" not in env
         snap = env["snapshot"]
         assert snap["counters"]
+        assert any(k.startswith("batch.") for k in snap["counters"])
         assert "batch.dot.kernel" in snap["spans"]
         assert any(k.startswith("batch.memo.") for k in snap["gauges"])
 
@@ -62,36 +59,6 @@ class TestCapture:
         out = capsys.readouterr().out
         for tag in REQUIRED_COVERAGE[:2]:
             assert tag in out
-
-
-class TestDiffGate:
-    def test_identical_passes(self, baseline):
-        assert main(["diff", str(baseline), str(baseline)]) == 0
-
-    def test_seeded_regression_fails(self, baseline, tmp_path, capsys):
-        degraded = tmp_path / "degraded.json"
-        assert main(["degrade", str(baseline), str(degraded),
-                     "--factor", "0.85"]) == 0
-        # 15% drop > 10% allowance: the gate must trip
-        assert main(["diff", str(baseline), str(degraded)]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_within_allowance_passes(self, baseline, tmp_path):
-        degraded = tmp_path / "slight.json"
-        main(["degrade", str(baseline), str(degraded),
-              "--factor", "0.95"])
-        assert main(["diff", str(baseline), str(degraded)]) == 0
-
-    def test_improvement_passes(self, baseline, tmp_path):
-        improved = tmp_path / "faster.json"
-        main(["degrade", str(baseline), str(improved),
-              "--factor", "1.50"])
-        assert main(["diff", str(baseline), str(improved)]) == 0
-
-    def test_no_shared_metrics_is_an_error(self, baseline, tmp_path):
-        empty = tmp_path / "empty.json"
-        empty.write_text(json.dumps({"schema": 1, "metrics": {}}))
-        assert main(["diff", str(baseline), str(empty)]) == 2
 
 
 class TestExport:
@@ -112,8 +79,8 @@ class TestModuleEntryPoint:
     def test_python_dash_m(self, baseline, tmp_path):
         """The documented invocation must work as a real subprocess."""
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.telemetry", "diff",
-             str(baseline), str(baseline)],
+            [sys.executable, "-m", "repro.telemetry", "coverage",
+             str(baseline)],
             capture_output=True, text=True, env={"PYTHONPATH": SRC,
                                                  "PATH": "/usr/bin:/bin"})
         assert proc.returncode == 0, proc.stderr
