@@ -45,8 +45,8 @@ def select_engine(op: str, unit: CSFmaUnit, size: int,
     ``backend``, else :data:`~repro.batch.engines.BACKEND_ENV`, else
     ``auto``; strict units have no fast kernel and run faithful.  A
     ``vector``/``auto`` request then goes to the tuple kernel while
-    probes or the residue guard are armed (they observe the scalar
-    datapath), and an ``auto`` one also when ``size`` is below the
+    probes are armed or the calling thread holds the residue guard (they
+    observe the scalar datapath), and an ``auto`` one also when ``size`` is below the
     measured crossover under which the lane engine's fixed ndarray cost
     loses (docs/PERFORMANCE.md); a ``vector`` pin skips only that size
     test.  The one fallback reason is counted as
@@ -63,9 +63,10 @@ def select_engine(op: str, unit: CSFmaUnit, size: int,
         return "faithful"
     if backend in ("tuple", "faithful"):
         return backend
+    guard = _gd.ACTIVE
     if probes.ARMED is not None:
         reason = "armed-probes"
-    elif _gd.ACTIVE is not None:
+    elif guard is not None and guard.state is not None:
         reason = "armed-guard"
     elif backend == "auto" and size < {"fma": 768, "dot": 1280,
                                        "dot-lanes": 72}[op]:

@@ -330,7 +330,7 @@ class FastCSKernel:
             # fault-injection probe: the compiled-tree product rows
             s, c = probes.probe("batch.product", (s, c))
         g = _gd.ACTIVE
-        if g is not None:
+        if g is not None and (g := g.state) is not None:
             # residue shadow for the SWAR lanes: the no-overflow branch
             # is an exact integer identity (pure mod-3/mod-255 residue
             # arithmetic); the wrapped branch checks under the modulus
@@ -384,6 +384,8 @@ class FastCSKernel:
         msign = self.msign
         mw = self.mw
         gd = _gd.ACTIVE
+        if gd is not None:
+            gd = gd.state  # None unless this thread is guarding
 
         # stage 1: deferred rounding decisions
         if ccls == CS_NORMAL:

@@ -17,7 +17,6 @@ faithful model is caught even when both paths drift together.
 
 from __future__ import annotations
 
-import struct
 import traceback
 
 from ..batch import fma_batch, fp_fma_fast, kernel_for
@@ -27,13 +26,11 @@ from ..fma.csfma import CSFmaUnit, FcsFmaUnit, PcsFmaUnit
 from ..fma.dotprod import FusedDotProductUnit
 from ..fp.formats import BINARY64
 from ..fp.ops import fp_fma
-from ..fp.value import FPValue
+from ..fp.value import FPValue, fp_to_word, word_to_fp
 from .workunits import Case
 
 __all__ = [
     "unit_by_name",
-    "from_bits",
-    "to_bits",
     "describe_ieee",
     "describe_cs",
     "check_case",
@@ -53,17 +50,8 @@ def unit_by_name(name: str) -> CSFmaUnit | None:
     return u
 
 
-def from_bits(word: int) -> FPValue:
-    x = struct.unpack("<d", struct.pack("<Q", word))[0]
-    return FPValue.from_float(x, BINARY64)
-
-
-def to_bits(v: FPValue) -> int:
-    return struct.unpack("<Q", struct.pack("<d", v.to_float()))[0]
-
-
 def describe_ieee(v: FPValue) -> str:
-    return "0x%016x" % to_bits(v)
+    return "0x%016x" % fp_to_word(v)
 
 
 def describe_cs(x) -> str:
@@ -110,7 +98,7 @@ def _mismatch(case: Case, unit: str, got: str, want: str,
 
 
 def _check_triple(case: Case, unit_name: str) -> list[dict]:
-    a, b, c = (from_bits(w) for w in case.operands[:3])
+    a, b, c = (word_to_fp(w) for w in case.operands[:3])
     out: list[dict] = []
     if unit_name == "classic":
         ref = fp_fma(a, b, c, fmt=BINARY64)
@@ -120,7 +108,7 @@ def _check_triple(case: Case, unit_name: str) -> list[dict]:
                                  describe_ieee(ref),
                                  "fp_fma_fast vs fp_fma"))
         expect = case.expected.get("classic-fma")
-        if expect is not None and to_bits(ref) != int(expect, 16):
+        if expect is not None and fp_to_word(ref) != int(expect, 16):
             out.append(_mismatch(case, unit_name, describe_ieee(ref),
                                  expect, "oracle vs golden vector"))
         return out
@@ -132,7 +120,7 @@ def _check_triple(case: Case, unit_name: str) -> list[dict]:
         out.append(_mismatch(case, unit_name, describe_cs(fast),
                              describe_cs(ref), "kernel vs faithful unit"))
     expect = case.expected.get(unit.name)
-    if expect is not None and to_bits(cs_to_ieee(ref)) != int(expect, 16):
+    if expect is not None and fp_to_word(cs_to_ieee(ref)) != int(expect, 16):
         out.append(_mismatch(case, unit_name,
                              describe_ieee(cs_to_ieee(ref)), expect,
                              "oracle vs golden vector"))
@@ -141,8 +129,8 @@ def _check_triple(case: Case, unit_name: str) -> list[dict]:
 
 def _check_chain(case: Case, unit_name: str) -> list[dict]:
     """Dependent FMA chain: CS results feed the next A/C operands."""
-    seeds = [from_bits(w) for w in case.operands[:3]]
-    bs = [from_bits(w) for w in case.operands[3:]]
+    seeds = [word_to_fp(w) for w in case.operands[:3]]
+    bs = [word_to_fp(w) for w in case.operands[3:]]
     if unit_name == "classic":
         acc, acc2 = seeds[0], seeds[1]
         facc, facc2 = seeds[0], seeds[1]
@@ -174,8 +162,8 @@ def _check_chain(case: Case, unit_name: str) -> list[dict]:
 
 
 def _check_dot(case: Case, unit_name: str) -> list[dict]:
-    a = [from_bits(w) for w in case.operands[0::2]]
-    b = [from_bits(w) for w in case.operands[1::2]]
+    a = [word_to_fp(w) for w in case.operands[0::2]]
+    b = [word_to_fp(w) for w in case.operands[1::2]]
     if unit_name == "classic":
         return []  # the fused dot product only exists on the CS units
     unit = unit_by_name(unit_name)

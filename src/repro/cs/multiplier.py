@@ -99,7 +99,7 @@ def multiply_mantissa(b_mant: int, b_width: int, c_tc: int, c_width: int,
     # fault-injection probe: the product sum/carry row registers
     product = probe("cs.mult_product", product)
     g = _gd.ACTIVE
-    if g is not None:
+    if g is not None and (g := g.state) is not None:
         # residue shadow: the CS pair must still encode c_eff * b_mant
         # under the tree's wrap modulus
         g.check_product(product.sum, product.carry, c_eff, b_mant, w)

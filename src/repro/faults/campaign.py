@@ -44,14 +44,15 @@ from pathlib import Path
 from ..conformance.workunits import STRATA, draw_triple
 from ..fma.convert import cs_to_ieee, ieee_to_cs
 from ..fma.formats import CSFloat
+from ..fp import word_to_fp
 from ..probes import Arm, armed
 from ..telemetry import core as _tm
 from .resilient import RetryPolicy, run_resilient
-from .sites import (SITE_CLASSES, FaultSite, flip_word, make_transform,
-                    params_for_unit, select_sites)
+from .sites import (SITE_CLASSES, SITES, FaultSite, flip_word,
+                    make_transform, params_for_unit, select_sites)
 
 __all__ = ["CampaignConfig", "plan_injections", "run_injection",
-           "run_campaign", "aggregate", "render_text",
+           "collect_records", "run_campaign", "aggregate", "render_text",
            "load_checkpoint", "OUTCOMES"]
 
 OUTCOMES = ("masked", "detected", "sdc")
@@ -138,47 +139,67 @@ def _scalar_unit(unit: str):
     return u
 
 
-def _from_bits(word: int):
-    from ..conformance.checks import from_bits
+def _fault_free(config: CampaignConfig, unit: str, idx: int,
+                batch: bool) -> tuple:
+    """``(fma, operands, golden)`` for operand ``idx`` of ``unit``'s pool.
 
-    return from_bits(word)
+    ``fma`` is the batch tuple kernel's when ``batch``, else the scalar
+    unit's; ``operands`` is the triple lifted into its format, and
+    ``golden`` their fault-free result (memoized per process).
+    """
+    triple = _pool(config.seed, unit, config.operands)[idx]
+    a, b, c = (word_to_fp(w) for w in triple)
+    if batch:
+        from ..batch.cskernel import kernel_for
 
-
-def _scalar_operands(unit: str, triple: tuple[int, int, int]):
-    params = params_for_unit(unit)
-    a, b, c = (_from_bits(w) for w in triple)
-    return ieee_to_cs(a, params), b, ieee_to_cs(c, params)
-
-
-def _golden_scalar(config: CampaignConfig, unit: str, idx: int) -> CSFloat:
-    key = ("scalar", config.seed, config.operands, unit, idx)
-    g = _GOLDEN.get(key)
-    if g is None:
-        triple = _pool(config.seed, unit, config.operands)[idx]
-        a, b, c = _scalar_operands(unit, triple)
-        g = _scalar_unit(unit).fma(a, b, c)
-        _GOLDEN[key] = g
-    return g
-
-
-def _batch_inputs(unit: str, triple: tuple[int, int, int]):
-    from ..batch.cskernel import kernel_for
-
-    kernel = kernel_for(_scalar_unit(unit))
-    a, b, c = (_from_bits(w) for w in triple)
-    return kernel, kernel.lift_ieee(a), kernel.lift_b(b), \
-        kernel.lift_ieee(c)
+        kernel = kernel_for(_scalar_unit(unit))
+        fma = kernel.fma
+        operands = (kernel.lift_ieee(a), kernel.lift_b(b),
+                    kernel.lift_ieee(c))
+    else:
+        params = params_for_unit(unit)
+        fma = _scalar_unit(unit).fma
+        operands = (ieee_to_cs(a, params), b, ieee_to_cs(c, params))
+    key = (batch, config.seed, config.operands, unit, idx)
+    golden = _GOLDEN.get(key)
+    if golden is None:
+        golden = _GOLDEN[key] = fma(*operands)
+    return fma, operands, golden
 
 
-def _golden_batch(config: CampaignConfig, unit: str, idx: int) -> tuple:
-    key = ("batch", config.seed, config.operands, unit, idx)
-    g = _GOLDEN.get(key)
-    if g is None:
-        triple = _pool(config.seed, unit, config.operands)[idx]
-        kernel, at, bt, ct = _batch_inputs(unit, triple)
-        g = kernel.fma(at, bt, ct)
-        _GOLDEN[key] = g
-    return g
+def _data_injection(config: CampaignConfig, site: FaultSite,
+                    inj: dict) -> tuple:
+    """``(arm, golden, work)`` for one data injection: the probe arm for
+    ``site.tag``, the fault-free result, and the zero-argument FMA the
+    arm faults (the batch tuple kernel for ``batch`` sites, the scalar
+    unit otherwise)."""
+    fma, operands, golden = _fault_free(config, site.unit, inj["operand"],
+                                        site.site_class == "batch")
+    arm = Arm(make_transform(site, tuple(inj["fracs"]),
+                             params_for_unit(site.unit)))
+    return arm, golden, lambda: fma(*operands)
+
+
+def _operand_injection(config: CampaignConfig, site: FaultSite,
+                       inj: dict) -> tuple:
+    """``(fma, golden, clean, faulted)`` for one operand (bus) injection.
+
+    ``faulted`` is the scalar operand triple with the flipped packed word
+    in A (even operand index) or C -- or, when the flip makes an invalid
+    operand word, the exception the format's unpack raised.
+    """
+    fma, clean, golden = _fault_free(config, site.unit, inj["operand"],
+                                     False)
+    params = params_for_unit(site.unit)
+    a, b, c = clean
+    w = flip_word((1 << (params.operand_bits + 2)) - 1,
+                  tuple(inj["fracs"]))
+    corrupt_a = inj["operand"] % 2 == 0
+    try:
+        word = CSFloat.unpack((a if corrupt_a else c).pack() ^ w, params)
+    except Exception as exc:
+        return fma, golden, clean, exc
+    return fma, golden, clean, (word, b, c) if corrupt_a else (a, b, word)
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +223,49 @@ def _same_cs(x: CSFloat, y: CSFloat) -> bool:
             and x.round_data.carry == y.round_data.carry)
 
 
-def _classify_cs(golden: CSFloat, got: CSFloat, landed: bool) -> dict:
+def _compare(site: FaultSite, golden, got) -> str:
+    """How a data result differs from the golden one.
+
+    ``identical``; ``representation`` when raw CS fields differ but the
+    IEEE value is intact (the flip was absorbed by the representation's
+    redundancy); ``value-changed``; or ``format:<error>`` when a batch
+    tuple violates the operand format, so lowering it raises.
+    """
+    if got == golden:
+        return "identical"
+    if site.site_class == "batch":
+        from ..batch.cskernel import kernel_for
+
+        lower = kernel_for(_scalar_unit(site.unit)).lower
+        try:
+            golden, got = lower(golden), lower(got)
+        except Exception as exc:
+            return f"format:{type(exc).__name__}"
     if _same_cs(golden, got):
-        return {"outcome": "masked", "detail": "identical",
-                "landed": landed, "bit_diff": False,
-                "differential_catch": False}
+        return "identical"
     if _same_ieee(cs_to_ieee(golden), cs_to_ieee(got)):
-        # raw CS fields differ but the value is intact: the flip was
-        # absorbed by the representation's redundancy
-        return {"outcome": "masked", "detail": "representation",
-                "landed": landed, "bit_diff": True,
-                "differential_catch": True}
-    return {"outcome": "sdc", "detail": "value-changed",
-            "landed": landed, "bit_diff": True,
-            "differential_catch": True}
+        return "representation"
+    return "value-changed"
+
+
+#: the outcome record of each undetected :func:`_compare` verdict
+_VERDICT_OUTCOMES = {
+    "identical": {"outcome": "masked", "detail": "identical",
+                  "bit_diff": False, "differential_catch": False},
+    "representation": {"outcome": "masked", "detail": "representation",
+                       "bit_diff": True, "differential_catch": True},
+    "value-changed": {"outcome": "sdc", "detail": "value-changed",
+                      "bit_diff": True, "differential_catch": True},
+}
+
+
+def _classify(site: FaultSite, golden, got, landed: bool) -> dict:
+    verdict = _compare(site, golden, got)
+    if verdict.startswith("format:"):
+        # the faulted tuple violates the operand format; the format
+        # boundary (CSNumber validation) is the detector
+        return _detected(verdict, landed)
+    return dict(_VERDICT_OUTCOMES[verdict], landed=landed)
 
 
 def _detected(kind: str, landed: bool, rules: list[str] | None = None,
@@ -231,62 +281,27 @@ def _detected(kind: str, landed: bool, rules: list[str] | None = None,
 
 def _eval_data(config: CampaignConfig, site: FaultSite,
                inj: dict) -> dict:
-    params = params_for_unit(site.unit)
-    triple = _pool(config.seed, site.unit, config.operands)[inj["operand"]]
-    arm = Arm(make_transform(site, tuple(inj["fracs"]), params))
-    if site.site_class == "batch":
-        golden = _golden_batch(config, site.unit, inj["operand"])
-        kernel, at, bt, ct = _batch_inputs(site.unit, triple)
-        try:
-            with armed({site.tag: arm}):
-                got = kernel.fma(at, bt, ct)
-        except Exception as exc:
-            return _detected(f"exception:{type(exc).__name__}",
-                             arm.hits > 0)
-        landed = arm.hits > 0
-        if got == golden:
-            return {"outcome": "masked", "detail": "identical",
-                    "landed": landed, "bit_diff": False,
-                    "differential_catch": False}
-        try:
-            return _classify_cs(kernel.lower(golden), kernel.lower(got),
-                                landed)
-        except Exception as exc:
-            # the faulted tuple violates the operand format; the format
-            # boundary (CSNumber validation) is the detector
-            return _detected(f"format:{type(exc).__name__}", landed)
-    golden = _golden_scalar(config, site.unit, inj["operand"])
-    a, b, c = _scalar_operands(site.unit, triple)
+    arm, golden, work = _data_injection(config, site, inj)
     try:
         with armed({site.tag: arm}):
-            got = _scalar_unit(site.unit).fma(a, b, c)
+            got = work()
     except Exception as exc:
         return _detected(f"exception:{type(exc).__name__}", arm.hits > 0)
-    return _classify_cs(golden, got, arm.hits > 0)
+    return _classify(site, golden, got, arm.hits > 0)
 
 
 def _eval_operand(config: CampaignConfig, site: FaultSite,
                   inj: dict) -> dict:
-    params = params_for_unit(site.unit)
-    triple = _pool(config.seed, site.unit, config.operands)[inj["operand"]]
-    golden = _golden_scalar(config, site.unit, inj["operand"])
-    a, b, c = _scalar_operands(site.unit, triple)
-    mask = (1 << (params.operand_bits + 2)) - 1
-    w = flip_word(mask, tuple(inj["fracs"]))
-    corrupt_a = inj["operand"] % 2 == 0
-    try:
-        faulted = CSFloat.unpack((a if corrupt_a else c).pack() ^ w,
-                                 params)
-    except Exception as exc:
+    fma, golden, _clean, faulted = _operand_injection(config, site, inj)
+    if isinstance(faulted, Exception):
         # the flip produced an invalid operand word; the format's
         # validity check on the receiving unit is the detector
-        return _detected(f"format:{type(exc).__name__}", True)
+        return _detected(f"format:{type(faulted).__name__}", True)
     try:
-        got = _scalar_unit(site.unit).fma(
-            faulted if corrupt_a else a, b, c if corrupt_a else faulted)
+        got = fma(*faulted)
     except Exception as exc:
         return _detected(f"exception:{type(exc).__name__}", True)
-    return _classify_cs(golden, got, True)
+    return _classify(site, golden, got, True)
 
 
 def _rnd(site: FaultSite, inj: dict) -> random.Random:
@@ -392,9 +407,7 @@ def _eval_pipeline(site: FaultSite, inj: dict) -> dict:
     same = (corrupted.cycles == golden.cycles
             and corrupted.stage_delays == golden.stage_delays)
     if same:
-        return {"outcome": "masked", "detail": "identical",
-                "landed": True, "bit_diff": False,
-                "differential_catch": False}
+        return dict(_VERDICT_OUTCOMES["identical"], landed=True)
     return {"outcome": "sdc", "detail": "silent-repartition",
             "landed": True, "bit_diff": True,
             "differential_catch": False}
@@ -469,12 +482,10 @@ def run_injection(config: CampaignConfig, site: FaultSite,
 
 def _campaign_entry(payload: dict) -> list[dict]:
     """Picklable work unit: evaluate one contiguous plan slice."""
-    config = CampaignConfig.from_dict(payload["config"])
-    plan = plan_injections(config)
-    from .sites import SITES
-
-    return [run_injection(config, SITES[inj["site"]], inj)
-            for inj in plan[payload["lo"]:payload["hi"]]]
+    config = payload["config"]
+    evaluate = payload["evaluate"]
+    return [evaluate(config, SITES[inj["site"]], inj)
+            for inj in plan_injections(config)[payload["lo"]:payload["hi"]]]
 
 
 def load_checkpoint(path: "str | Path") -> dict[int, dict]:
@@ -497,6 +508,72 @@ def load_checkpoint(path: "str | Path") -> dict[int, dict]:
     return records
 
 
+def collect_records(config: CampaignConfig, evaluate=run_injection, *,
+                    workers: int = 1,
+                    checkpoint: "str | Path | None" = None,
+                    resume: bool = False, chunk: int = 50,
+                    timeout_s: float | None = 120.0,
+                    max_attempts: int = 3) -> tuple[list[dict], dict | None]:
+    """Evaluate the plan; return its records sorted by id, and the pool's
+    recovery summary (``None`` for a serial run).
+
+    ``evaluate(config, site, injection)`` returns one record; it must be
+    picklable (module level, or a ``functools.partial`` of one) because
+    ``workers > 1`` sends contiguous slices of the pending plan through
+    :func:`repro.faults.resilient.run_resilient` and merges the records
+    by id, so the result equals the serial run's.  With ``checkpoint``
+    every record is appended to a JSONL file as it completes;
+    ``resume=True`` skips the ids already there.
+    """
+    plan = plan_injections(config)
+    done: dict[int, dict] = {}
+    ckpt_file = None
+    if checkpoint is not None:
+        if resume:
+            done = {i: r for i, r in load_checkpoint(checkpoint).items()
+                    if i < len(plan)}
+        ckpt_file = open(checkpoint, "a" if resume else "w")
+
+    def keep(rec: dict) -> None:
+        done[rec["id"]] = rec
+        if ckpt_file is not None:
+            _append_checkpoint(ckpt_file, rec)
+
+    todo = [inj["id"] for inj in plan if inj["id"] not in done]
+    resilience = None
+    try:
+        if workers > 1 and len(todo) > chunk:
+            payloads: list[dict] = []
+            for i in todo:
+                last = payloads[-1] if payloads else None
+                if last and i == last["hi"] and i - last["lo"] < chunk:
+                    last["hi"] = i + 1
+                else:
+                    payloads.append({"config": config, "evaluate": evaluate,
+                                     "lo": i, "hi": i + 1})
+            run = run_resilient(
+                _campaign_entry, payloads, workers=workers,
+                timeout_s=timeout_s,
+                retry=RetryPolicy(max_attempts=max_attempts),
+                rng_seed=config.seed)
+            resilience = run.summary()
+            todo = []
+            for res, payload in zip(run.results, payloads):
+                if res.ok:
+                    for rec in res.value:
+                        keep(rec)
+                else:
+                    todo.extend(range(payload["lo"], payload["hi"]))
+        # serial runs, and permanently failed slices finished inline:
+        # the campaign never loses injections to pool failures
+        for i in todo:
+            keep(evaluate(config, SITES[plan[i]["site"]], plan[i]))
+    finally:
+        if ckpt_file is not None:
+            ckpt_file.close()
+    return [done[i] for i in sorted(done)], resilience
+
+
 def run_campaign(config: CampaignConfig, *, workers: int = 1,
                  checkpoint: "str | Path | None" = None,
                  resume: bool = False, chunk: int = 50,
@@ -504,76 +581,18 @@ def run_campaign(config: CampaignConfig, *, workers: int = 1,
                  max_attempts: int = 3) -> dict:
     """Run the campaign and return the aggregated report.
 
-    Serial by default; ``workers > 1`` fans plan slices across the
-    resilient executor (:func:`repro.faults.resilient.run_resilient`)
-    and merges records by injection id, so the report is identical to
-    the serial run's.  With ``checkpoint`` every record is appended to
-    a JSONL file as it completes; ``resume=True`` skips injection ids
-    already present (the resumed report is byte-identical to an
-    uninterrupted one).
+    Serial by default; ``workers``, ``chunk``, ``timeout_s`` and
+    ``max_attempts`` shape the parallel run and ``checkpoint``/``resume``
+    the JSONL checkpoint (:func:`collect_records`).  Parallel and
+    resumed reports are byte-identical to the uninterrupted serial one,
+    apart from the parallel run's ``resilience`` summary.
     """
-    plan = plan_injections(config)
-    sites = select_sites(config.sites, config.classes)
-    done: dict[int, dict] = {}
-    ckpt_file = None
-    if checkpoint is not None:
-        if resume:
-            done = {i: r for i, r in load_checkpoint(checkpoint).items()
-                    if i < len(plan)}
-        mode = "a" if resume else "w"
-        ckpt_file = open(checkpoint, mode)
-
-    todo = [inj for inj in plan if inj["id"] not in done]
-    resilience = None
-    try:
-        if workers > 1 and len(todo) > chunk:
-            # contiguous id ranges over the *pending* plan tail
-            ids = [inj["id"] for inj in todo]
-            payloads = []
-            i = 0
-            while i < len(ids):
-                j = i
-                while (j + 1 < len(ids) and j + 1 - i < chunk
-                       and ids[j + 1] == ids[j] + 1):
-                    j += 1
-                payloads.append({"config": config.to_dict(),
-                                 "lo": ids[i], "hi": ids[j] + 1})
-                i = j + 1
-            run = run_resilient(
-                _campaign_entry, payloads, workers=workers,
-                timeout_s=timeout_s,
-                retry=RetryPolicy(max_attempts=max_attempts),
-                rng_seed=config.seed)
-            resilience = run.summary()
-            leftovers = []
-            for res, payload in zip(run.results, payloads):
-                if res.ok:
-                    for rec in res.value:
-                        done[rec["id"]] = rec
-                        if ckpt_file is not None:
-                            _append_checkpoint(ckpt_file, rec)
-                else:
-                    leftovers.extend(range(payload["lo"], payload["hi"]))
-            # a permanently failed slice is finished inline: the
-            # campaign never loses injections to pool failures
-            for i in leftovers:
-                inj = plan[i]
-                rec = run_injection(config, _site_of(sites, inj), inj)
-                done[rec["id"]] = rec
-                if ckpt_file is not None:
-                    _append_checkpoint(ckpt_file, rec)
-        else:
-            for inj in todo:
-                rec = run_injection(config, _site_of(sites, inj), inj)
-                done[rec["id"]] = rec
-                if ckpt_file is not None:
-                    _append_checkpoint(ckpt_file, rec)
-    finally:
-        if ckpt_file is not None:
-            ckpt_file.close()
-
-    records = [done[i] for i in sorted(done)]
-    report = aggregate(config, records, sites)
+    records, resilience = collect_records(
+        config, run_injection, workers=workers, checkpoint=checkpoint,
+        resume=resume, chunk=chunk, timeout_s=timeout_s,
+        max_attempts=max_attempts)
+    report = aggregate(config, records,
+                       select_sites(config.sites, config.classes))
     if resilience is not None:
         report["resilience"] = resilience
     tm = _tm.ACTIVE
@@ -588,10 +607,6 @@ def run_campaign(config: CampaignConfig, *, workers: int = 1,
             tm.count("faults.retries", resilience["retries"])
             tm.count("faults.timeouts", resilience["timeouts"])
     return report
-
-
-def _site_of(sites: list[FaultSite], inj: dict) -> FaultSite:
-    return sites[inj["id"] % len(sites)]
 
 
 def _append_checkpoint(f, record: dict) -> None:
@@ -625,39 +640,63 @@ def _rates(bucket: dict) -> dict:
     return bucket
 
 
-def aggregate(config: CampaignConfig, records: list[dict],
-              sites: list[FaultSite]) -> dict:
-    """Deterministic campaign report (no timestamps, sorted keys)."""
-    by_site: dict[str, dict] = {}
+def tabulate(records: list[dict], sites: list[FaultSite], bucket, feed,
+             rates) -> dict:
+    """The ``totals``, ``classes`` and ``sites`` tables of a report.
+
+    ``bucket()`` makes an empty tally, ``feed(tally, record)`` adds one
+    record and ``rates(tally)`` finishes it; each campaign supplies its
+    own three.  Classes come in :data:`SITE_CLASSES` order, sites sorted
+    by name, each with its class and stage.
+    """
+    totals = bucket()
     by_class: dict[str, dict] = {}
-    by_stage: dict[str, dict] = {}
-    rules: dict[str, int] = {}
-    totals = _bucket()
-    site_meta = {s.name: s for s in sites}
+    by_site: dict[str, dict] = {}
     for rec in records:
-        _feed(totals, rec)
-        _feed(by_site.setdefault(rec["site"], _bucket()), rec)
-        _feed(by_class.setdefault(rec["class"], _bucket()), rec)
-        _feed(by_stage.setdefault(rec["stage"], _bucket()), rec)
-        for rule in rec.get("rules", []):
-            rules[rule] = rules.get(rule, 0) + 1
+        feed(totals, rec)
+        feed(by_class.setdefault(rec["class"], bucket()), rec)
+        feed(by_site.setdefault(rec["site"], bucket()), rec)
+    site_meta = {s.name: s for s in sites}
     site_table = {}
     for name in sorted(by_site):
+        entry = rates(by_site[name])
         meta = site_meta.get(name)
-        entry = _rates(by_site[name])
         if meta is not None:
             entry["class"] = meta.site_class
             entry["stage"] = meta.stage
         site_table[name] = entry
+    return {"totals": rates(totals),
+            "classes": {c: rates(by_class[c]) for c in SITE_CLASSES
+                        if c in by_class},
+            "sites": site_table}
+
+
+def aggregate(config: CampaignConfig, records: list[dict],
+              sites: list[FaultSite]) -> dict:
+    """Deterministic campaign report (no timestamps, sorted keys)."""
+    by_stage: dict[str, dict] = {}
+    rules: dict[str, int] = {}
+    for rec in records:
+        _feed(by_stage.setdefault(rec["stage"], _bucket()), rec)
+        for rule in rec.get("rules", []):
+            rules[rule] = rules.get(rule, 0) + 1
     return {
         "config": config.to_dict(),
-        "totals": _rates(totals),
-        "classes": {c: _rates(by_class[c]) for c in SITE_CLASSES
-                    if c in by_class},
+        **tabulate(records, sites, _bucket, _feed, _rates),
         "stages": {s: _rates(by_stage[s]) for s in sorted(by_stage)},
-        "sites": site_table,
         "rules": dict(sorted(rules.items())),
     }
+
+
+def resilience_rows(report: dict) -> list[str]:
+    """A text report's footer: the pool's recovery events, if it ran."""
+    res = report.get("resilience")
+    if not res:
+        return []
+    return ["", f"resilience: {res['retries']} retries, "
+                f"{res['timeouts']} timeouts, "
+                f"{res['pool_respawns']} pool respawns"
+                + (", serial fallback" if res["serial_fallback"] else "")]
 
 
 def render_text(report: dict) -> str:
@@ -691,12 +730,4 @@ def render_text(report: dict) -> str:
         fired = ", ".join(f"{r}x{n}" for r, n in report["rules"].items())
         rows.append("")
         rows.append(f"analysis rules fired: {fired}")
-    res = report.get("resilience")
-    if res:
-        rows.append("")
-        rows.append(f"resilience: {res['retries']} retries, "
-                    f"{res['timeouts']} timeouts, "
-                    f"{res['pool_respawns']} pool respawns"
-                    + (", serial fallback" if res["serial_fallback"]
-                       else ""))
-    return "\n".join(rows)
+    return "\n".join(rows + resilience_rows(report))

@@ -66,7 +66,7 @@ class ClassicFmaUnit:
             _tm.ACTIVE.count("fma.scalar.call.classic")
         r = fp_fma(a, b, c, fmt=self.fmt, mode=self.mode)
         g = _gd.ACTIVE
-        if g is not None:
+        if g is not None and (g := g.state) is not None:
             # The classic unit's exact rational datapath has no wrapped
             # CS stages for a residue checker to shadow; its guard mode
             # is duplicate-and-compare (time redundancy).

@@ -117,6 +117,8 @@ class CSFmaUnit:
 
         tm = _tm.ACTIVE
         g = _gd.ACTIVE
+        if g is not None:
+            g = g.state  # None unless this thread is guarding
         if tm is not None:
             tm.count(f"fma.scalar.call.{p.name}")
 

@@ -3,16 +3,18 @@
 ``repro.faults`` *measures* silent data corruption; this package
 *defends* against it at runtime:
 
-* :mod:`repro.guard.residue` -- residue-code shadow checks armed behind
-  a probes/telemetry-style ``ACTIVE`` global (one load disabled), run
-  alongside the scalar CS-FMA stages and the batch SWAR lanes;
+* :mod:`repro.guard.residue` -- residue-code shadow checks armed per
+  thread behind one ``ACTIVE`` global (one load while no thread is
+  guarding), run alongside the scalar CS-FMA stages and the batch SWAR
+  lanes;
 * :mod:`repro.guard.voting` -- the :class:`GuardedExecutor`:
   redundant execution with majority voting on residue mismatch or in
   DMR/TMR mode, classifying every outcome as ``clean`` / ``corrected``
   / ``uncorrectable`` (uncorrectable results are rejected, never
   returned as data);
-* :mod:`repro.guard.campaign` -- closed-loop validation: the PR 4 SEU
-  campaigns re-run with the guard armed, producing a baseline-vs-guarded
+* :mod:`repro.guard.campaign` -- closed-loop validation: the SEU
+  campaign engine of :mod:`repro.faults.campaign` run with a guarded
+  per-injection evaluator, producing a baseline-vs-guarded
   detection-coverage report (``python -m repro.guard``).
 
 The datapath modules import :mod:`repro.guard.residue` (and therefore

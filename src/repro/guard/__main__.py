@@ -18,17 +18,11 @@ bit-identical to the oracle), and 2 on bad arguments.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from ..faults.campaign import CampaignConfig
-from ..faults.sites import select_sites
+from ..faults.__main__ import add_campaign_args, campaign_config, write_json
 from .campaign import render_guarded_text, run_guarded_campaign
 from .voting import MODES, GuardPolicy
-
-
-def _csv(text: str) -> tuple[str, ...]:
-    return tuple(t for t in (s.strip() for s in text.split(",")) if t)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,34 +33,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "redundant-execution voting armed.",
         epilog="exit status: 0 = campaign complete, gates passed; "
                "1 = incomplete or a gate failed; 2 = bad arguments.")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="campaign seed (default 0); same seed, same "
-                         "report, byte for byte")
-    ap.add_argument("--injections", type=int, default=500,
-                    help="number of injections to plan (default 500)")
-    ap.add_argument("--operands", type=int, default=24,
-                    help="operand-pool size per unit flavor (default 24)")
-    ap.add_argument("--multi-bit", type=float, default=0.15,
-                    help="fraction of injections upsetting two bits "
-                         "(default 0.15)")
-    ap.add_argument("--sites", type=_csv, default=(),
-                    help="comma-separated site names to restrict to")
-    ap.add_argument("--classes", type=_csv, default=(),
-                    help="comma-separated site classes "
-                         "(pcs,fcs,batch,structural)")
+    add_campaign_args(ap)
     ap.add_argument("--mode", choices=MODES, default="residue",
                     help="guard policy: residue (re-execute on "
                          "mismatch), dmr, or tmr (default residue)")
     ap.add_argument("--max-executions", type=int, default=4,
                     help="execution budget per work unit (default 4)")
-    ap.add_argument("--workers", type=int, default=1,
-                    help="parallel workers (default 1 = serial)")
-    ap.add_argument("--timeout", type=float, default=120.0,
-                    help="per-chunk wall-clock timeout in seconds for "
-                         "parallel runs (default 120)")
-    ap.add_argument("--retries", type=int, default=3,
-                    help="max attempts per chunk in parallel runs "
-                         "(default 3)")
     ap.add_argument("--min-reduction", type=float, default=None,
                     help="fail (exit 1) unless baseline SDC >= this "
                          "factor times guarded SDC-to-user")
@@ -74,56 +46,29 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fail (exit 1) unless the guard flagged or "
                          "masked at least this fraction of baseline "
                          "SDC injections")
-    ap.add_argument("--json-out", default=None,
-                    help="write the full report as JSON to this path "
-                         "(e.g. BENCH_guard.json)")
-    ap.add_argument("--quiet", action="store_true",
-                    help="suppress the text report")
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.injections < 1:
-        parser.error("--injections must be >= 1")
-    if args.operands < 1:
-        parser.error("--operands must be >= 1")
-    if not 0.0 <= args.multi_bit <= 1.0:
-        parser.error("--multi-bit must be in [0, 1]")
+    config = campaign_config(parser, args)
     if args.max_executions < 1:
         parser.error("--max-executions must be >= 1")
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
-    if args.timeout <= 0:
-        parser.error("--timeout must be positive")
-    if args.retries < 1:
-        parser.error("--retries must be >= 1")
     if args.min_reduction is not None and args.min_reduction <= 0:
         parser.error("--min-reduction must be positive")
     if args.min_coverage is not None \
             and not 0.0 <= args.min_coverage <= 1.0:
         parser.error("--min-coverage must be in [0, 1]")
-    try:
-        config = CampaignConfig(
-            seed=args.seed, injections=args.injections,
-            operands=args.operands, multi_bit=args.multi_bit,
-            sites=args.sites, classes=args.classes)
-        select_sites(config.sites, config.classes)  # validate filters
-        policy = GuardPolicy(
-            mode=args.mode,
-            max_executions=max(args.max_executions,
-                               {"residue": 1, "dmr": 2,
-                                "tmr": 3}[args.mode]))
-    except (KeyError, ValueError) as exc:
-        parser.error(str(exc))
+    policy = GuardPolicy(
+        mode=args.mode,
+        max_executions=max(args.max_executions,
+                           {"residue": 1, "dmr": 2, "tmr": 3}[args.mode]))
     report = run_guarded_campaign(config, policy, workers=args.workers,
                                   timeout_s=args.timeout,
                                   max_attempts=args.retries)
     if args.json_out:
-        with open(args.json_out, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(args.json_out, report)
     if not args.quiet:
         print(render_guarded_text(report))
 

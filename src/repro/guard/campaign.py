@@ -27,27 +27,25 @@ Fault-model mapping (docs/GUARD.md spells out each rung):
   compares (duplicate-and-compare), so a corrupted artifact is either
   caught by analysis rules (rejected and rebuilt) or by the compare.
 
-Determinism matches the baseline campaign: records are pure functions
-of ``(config, policy, injection)``, aggregation is sorted, and parallel
-runs merge by injection id -- serial and parallel reports are
-byte-identical.
+The plan, the loop that runs it (serial or over a process pool), the
+per-injection setup and the report tables are the baseline campaign's
+(:mod:`repro.faults.campaign`); this module adds only the guarded
+verdict per injection and its report.  Determinism therefore matches
+the baseline campaign: records are pure functions of ``(config,
+policy, injection)``, aggregation is sorted, and parallel runs merge by
+injection id -- serial and parallel reports are byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
+from functools import partial
 
-from ..faults.campaign import (CampaignConfig, _classify_cs,
-                               _batch_inputs, _golden_batch,
-                               _golden_scalar, _pool, _same_cs, _same_ieee,
-                               _scalar_operands, _scalar_unit, _site_of,
-                               plan_injections, run_injection)
-from ..faults.resilient import RetryPolicy, run_resilient
-from ..faults.sites import (SITE_CLASSES, FaultSite, flip_word,
-                            make_transform, params_for_unit, select_sites)
-from ..fma.convert import cs_to_ieee
-from ..fma.formats import CSFloat
-from ..probes import Arm, armed
+from ..faults.campaign import (CampaignConfig, _compare, _data_injection,
+                               _operand_injection, collect_records,
+                               resilience_rows, run_injection, tabulate)
+from ..faults.sites import FaultSite, select_sites
+from ..probes import armed
 from ..telemetry import core as _tm
 from .voting import GuardedExecutor, GuardPolicy
 
@@ -69,101 +67,55 @@ def _policy_for(site: FaultSite, policy: GuardPolicy) -> GuardPolicy:
     return policy
 
 
-def _value_verdict(site: FaultSite, golden, value) -> tuple[bool, bool]:
-    """``(exact, user_visible)`` for a value the guard released.
-
-    ``exact`` -- bit-identical to the uninjected oracle.
-    ``user_visible`` -- the IEEE-converted value the caller would
-    consume differs (representation-absorbed differences are not
-    user-visible corruption, matching the baseline's ``masked``
-    classification).
-    """
-    if value == golden:
-        return True, False
-    if site.site_class == "batch":
-        from ..batch.cskernel import kernel_for
-
-        kernel = kernel_for(_scalar_unit(site.unit))
-        try:
-            golden, value = kernel.lower(golden), kernel.lower(value)
-        except Exception:
-            # the released tuple violates the operand format; the format
-            # boundary rejects it downstream -- detected, not silent
-            return False, False
-    if _same_cs(golden, value):
-        return True, False
-    return False, not _same_ieee(cs_to_ieee(golden), cs_to_ieee(value))
-
-
 def _guard_record(outcome, site: FaultSite, golden) -> dict:
-    """Fold a :class:`GuardedOutcome` into the campaign's guard record."""
+    """Fold a :class:`GuardedOutcome` into the campaign's guard record.
+
+    ``corrected_exact``: the released value is bit-identical to the
+    uninjected oracle.  ``sdc_to_user``: the IEEE value the caller would
+    consume differs; a representation-absorbed difference is not
+    user-visible corruption, matching the baseline's ``masked``, and a
+    tuple that violates the operand format is rejected downstream by the
+    format boundary: detected, not silent.
+    """
     flagged = outcome.flagged > 0 or any(
         "error" in r for r in outcome.records)
     if outcome.status == "uncorrectable":
         return {"status": "uncorrectable", "flagged": flagged,
                 "executions": outcome.executions,
                 "corrected_exact": False, "sdc_to_user": False}
-    exact, visible = _value_verdict(site, golden, outcome.value)
+    verdict = _compare(site, golden, outcome.value)
     return {"status": outcome.status, "flagged": flagged,
             "executions": outcome.executions,
-            "corrected_exact": outcome.status == "corrected" and exact,
-            "sdc_to_user": visible}
+            "corrected_exact": (outcome.status == "corrected"
+                                and verdict == "identical"),
+            "sdc_to_user": verdict == "value-changed"}
 
 
 def _guard_data(config: CampaignConfig, site: FaultSite, inj: dict,
                 policy: GuardPolicy) -> dict:
-    params = params_for_unit(site.unit)
-    triple = _pool(config.seed, site.unit, config.operands)[inj["operand"]]
-    arm = Arm(make_transform(site, tuple(inj["fracs"]), params))
-    if site.site_class == "batch":
-        golden = _golden_batch(config, site.unit, inj["operand"])
-        kernel, at, bt, ct = _batch_inputs(site.unit, triple)
-
-        def work(execution: int):
-            return kernel.fma(at, bt, ct)
-    else:
-        golden = _golden_scalar(config, site.unit, inj["operand"])
-        a, b, c = _scalar_operands(site.unit, triple)
-        unit = _scalar_unit(site.unit)
-
-        def work(execution: int):
-            return unit.fma(a, b, c)
-
+    arm, golden, work = _data_injection(config, site, inj)
     # the probes stay armed across every execution: the Arm fires at its
     # occurrence exactly once, so re-executions see the clean datapath
     # (the transient-upset contract)
     with armed({site.tag: arm}):
-        outcome = GuardedExecutor(policy).run(work)
+        outcome = GuardedExecutor(policy).run(lambda execution: work())
     return _guard_record(outcome, site, golden)
 
 
 def _guard_operand(config: CampaignConfig, site: FaultSite, inj: dict,
                    policy: GuardPolicy) -> dict:
-    params = params_for_unit(site.unit)
-    triple = _pool(config.seed, site.unit, config.operands)[inj["operand"]]
-    golden = _golden_scalar(config, site.unit, inj["operand"])
-    a, b, c = _scalar_operands(site.unit, triple)
-    mask = (1 << (params.operand_bits + 2)) - 1
-    w = flip_word(mask, tuple(inj["fracs"]))
-    corrupt_a = inj["operand"] % 2 == 0
-    try:
-        faulted = CSFloat.unpack((a if corrupt_a else c).pack() ^ w,
-                                 params)
-    except Exception:
+    fma, golden, clean, faulted = _operand_injection(config, site, inj)
+    if isinstance(faulted, Exception):
         # invalid operand word: the format's validity check rejects it
         # before execution -- detected at the bus boundary
         return {"status": "uncorrectable", "flagged": True,
                 "executions": 0, "corrected_exact": False,
                 "sdc_to_user": False}
-    unit = _scalar_unit(site.unit)
 
     def work(execution: int):
         # a transient bus upset corrupts one fetch; re-executions
         # re-read the operand from its source register
-        if execution == 0:
-            return unit.fma(faulted if corrupt_a else a, b,
-                            c if corrupt_a else faulted)
-        return unit.fma(a, b, c)
+        return fma(*(faulted if execution == 0 else clean))
 
     outcome = GuardedExecutor(_policy_for(site, policy)).run(work)
     return _guard_record(outcome, site, golden)
@@ -196,21 +148,6 @@ def run_guarded_injection(config: CampaignConfig, site: FaultSite,
     return rec
 
 
-def _policy_dict(policy: GuardPolicy) -> dict:
-    return asdict(policy)
-
-
-def _guarded_entry(payload: dict) -> list[dict]:
-    """Picklable work unit: one contiguous plan slice, guarded."""
-    config = CampaignConfig.from_dict(payload["config"])
-    policy = GuardPolicy(**payload["policy"])
-    plan = plan_injections(config)
-    from ..faults.sites import SITES
-
-    return [run_guarded_injection(config, SITES[inj["site"]], inj, policy)
-            for inj in plan[payload["lo"]:payload["hi"]]]
-
-
 def run_guarded_campaign(config: CampaignConfig,
                          policy: GuardPolicy | None = None, *,
                          workers: int = 1, chunk: int = 50,
@@ -218,45 +155,19 @@ def run_guarded_campaign(config: CampaignConfig,
                          max_attempts: int = 3) -> dict:
     """Run the detection-coverage campaign and aggregate the report.
 
-    Serial by default; ``workers > 1`` fans contiguous plan slices
-    through :func:`~repro.faults.resilient.run_resilient` and merges by
-    injection id, exactly like the baseline campaign -- the report is
-    byte-identical to the serial run's.
+    The plan runs through the baseline campaign's loop
+    (:func:`~repro.faults.campaign.collect_records`), serial by default
+    or in ``chunk``-sized slices over ``workers`` processes; the report
+    is byte-identical either way, apart from the parallel run's
+    ``resilience`` summary.
     """
     policy = policy if policy is not None else GuardPolicy()
-    plan = plan_injections(config)
-    sites = select_sites(config.sites, config.classes)
-    done: dict[int, dict] = {}
-    resilience = None
-    if workers > 1 and len(plan) > chunk:
-        payloads = [{"config": config.to_dict(),
-                     "policy": _policy_dict(policy),
-                     "lo": lo, "hi": min(lo + chunk, len(plan))}
-                    for lo in range(0, len(plan), chunk)]
-        run = run_resilient(_guarded_entry, payloads, workers=workers,
-                            timeout_s=timeout_s,
-                            retry=RetryPolicy(max_attempts=max_attempts),
-                            rng_seed=config.seed)
-        resilience = run.summary()
-        leftovers = []
-        for res, payload in zip(run.results, payloads):
-            if res.ok:
-                for rec in res.value:
-                    done[rec["id"]] = rec
-            else:
-                leftovers.extend(range(payload["lo"], payload["hi"]))
-        for i in leftovers:
-            inj = plan[i]
-            rec = run_guarded_injection(config, _site_of(sites, inj), inj,
-                                        policy)
-            done[rec["id"]] = rec
-    else:
-        for inj in plan:
-            rec = run_guarded_injection(config, _site_of(sites, inj), inj,
-                                        policy)
-            done[rec["id"]] = rec
-    records = [done[i] for i in sorted(done)]
-    report = aggregate_guarded(config, policy, records, sites)
+    records, resilience = collect_records(
+        config, partial(run_guarded_injection, policy=policy),
+        workers=workers, chunk=chunk, timeout_s=timeout_s,
+        max_attempts=max_attempts)
+    report = aggregate_guarded(config, policy, records,
+                               select_sites(config.sites, config.classes))
     if resilience is not None:
         report["resilience"] = resilience
     t = _tm.ACTIVE
@@ -301,30 +212,13 @@ def aggregate_guarded(config: CampaignConfig, policy: GuardPolicy,
                       records: list[dict],
                       sites: list[FaultSite]) -> dict:
     """Deterministic detection-coverage report (sorted, no timestamps)."""
-    totals = _bucket()
-    by_class: dict[str, dict] = {}
-    by_site: dict[str, dict] = {}
-    site_meta = {s.name: s for s in sites}
-    for rec in records:
-        _feed(totals, rec)
-        _feed(by_class.setdefault(rec["class"], _bucket()), rec)
-        _feed(by_site.setdefault(rec["site"], _bucket()), rec)
-    site_table = {}
-    for name in sorted(by_site):
-        entry = _rates(by_site[name])
-        meta = site_meta.get(name)
-        if meta is not None:
-            entry["class"] = meta.site_class
-            entry["stage"] = meta.stage
-        site_table[name] = entry
-    b, g = totals["baseline_sdc"], totals["sdc_to_user"]
+    tables = tabulate(records, sites, _bucket, _feed, _rates)
+    b = tables["totals"]["baseline_sdc"]
+    g = tables["totals"]["sdc_to_user"]
     return {
         "config": config.to_dict(),
-        "policy": _policy_dict(policy),
-        "totals": _rates(totals),
-        "classes": {c: _rates(by_class[c]) for c in SITE_CLASSES
-                    if c in by_class},
-        "sites": site_table,
+        "policy": asdict(policy),
+        **tables,
         "coverage": {
             "baseline_sdc": b,
             "guarded_sdc": g,
@@ -367,12 +261,4 @@ def render_guarded_text(report: dict) -> str:
         rows.append(f"  {name:<26} {b['injections']:>5} inj  "
                     f"{b['baseline_sdc']:>4} -> {b['sdc_to_user']:>4}  "
                     f"corrected {b['corrected']:>4}")
-    res = report.get("resilience")
-    if res:
-        rows.append("")
-        rows.append(f"resilience: {res['retries']} retries, "
-                    f"{res['timeouts']} timeouts, "
-                    f"{res['pool_respawns']} pool respawns"
-                    + (", serial fallback" if res["serial_fallback"]
-                       else ""))
-    return "\n".join(rows)
+    return "\n".join(rows + resilience_rows(report))

@@ -23,13 +23,16 @@ Two regimes appear in this model (docs/GUARD.md works the math):
   ``lhs === rhs (mod 2^w)``, which is the same identity the hardware
   checker certifies and is strictly stronger than any single residue.
 
-Every check sits behind the module-global :data:`ACTIVE` arm with the
-same one-load disabled fast path as :mod:`repro.probes` and
-:mod:`repro.telemetry`; the hot kernels hoist ``_gd.ACTIVE`` once per
-call.  A failed check raises :class:`GuardMismatch` (or records it in
-``record_only`` mode), which the SEU campaign classifies as *detected*
-and the :class:`~repro.guard.voting.GuardedExecutor` treats as the
-trigger for redundant re-execution.
+Every check sits behind the module global :data:`ACTIVE`, with the same
+one-load disabled fast path as :mod:`repro.probes` and
+:mod:`repro.telemetry`; the hot kernels hoist it once per call.  The
+checker state itself is per thread: while any thread guards, the hooks
+read the calling thread's state from :data:`ACTIVE`, so a region checks
+only its own thread's kernels.  A failed check raises
+:class:`GuardMismatch` (or records it in ``record_only`` mode), which
+the SEU campaign classifies as *detected* and the
+:class:`~repro.guard.voting.GuardedExecutor` treats as the trigger for
+redundant re-execution.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ class GuardState:
     """Mutable per-region checker state: counts and mismatch records.
 
     Check methods are written for the armed path only -- the disabled
-    fast path never reaches them (callers test ``ACTIVE is not None``).
+    fast path never reaches them (callers test for a state first).
     """
 
     __slots__ = ("config", "checks", "mismatches", "records")
@@ -237,44 +240,68 @@ def lza_shadow(a: int, b: int, width: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the arm global
+# the arm: one global for the fast path, the checker state per thread
 
-#: checker state while the guard is armed; ``None`` always = fast path.
-ACTIVE: "GuardState | None" = None
 
-#: Serializes concurrent :func:`guarding` regions (the serving layer
-#: verifies requests from multiple worker threads; arming is process
-#: global, so verified executions take turns).
-_ARM_LOCK = threading.Lock()
+class _Arm(threading.local):
+    """The calling thread's checker state (``None`` while it is not
+    guarding)."""
+
+    state: "GuardState | None" = None
+
+
+#: ``None`` while no thread is guarding: the one-load fast path every
+#: datapath hook tests.  While any thread is, it is the per-thread
+#: :class:`_Arm`, whose ``state`` is the *calling* thread's
+#: :class:`GuardState` -- ``None`` in threads that are not guarding, so
+#: one thread's region never checks another thread's kernels.
+ACTIVE: "_Arm | None" = None
+
+_ARM = _Arm()
+
+#: the states of every open region, across threads; with the telemetry
+#: flush, guarded by :data:`_LOCK`
+_OPEN: "set[GuardState]" = set()
+_LOCK = threading.Lock()
 
 
 def guard_active() -> bool:
-    """True while residue checking is armed (hot-path call guard)."""
-    return ACTIVE is not None
+    """True while the calling thread has the residue checkers armed."""
+    arm = ACTIVE
+    return arm is not None and arm.state is not None
 
 
 @contextlib.contextmanager
 def guarding(config: GuardConfig | None = None) -> Iterator[GuardState]:
-    """Arm the residue checkers for the duration of the context.
+    """Arm the residue checkers in the calling thread for the duration of
+    the context.
 
-    Arming is process-global (the datapaths read one module global) and
-    non-reentrant, like :func:`repro.probes.armed` and
-    :func:`repro.telemetry.collecting`; concurrent callers serialize on
-    an internal lock rather than erroring, because the serving layer
-    verifies requests from multiple worker threads.  On exit the check
-    and mismatch tallies are flushed to telemetry as ``guard.checks.*``
-    / ``guard.mismatch.*`` counters.
+    Each thread arms its own :class:`GuardState`, so regions in
+    different threads overlap without waiting for each other and never
+    check each other's kernels (the serving layer verifies batches on
+    several worker threads).  Within a thread a region is non-reentrant,
+    like :func:`repro.probes.armed` and :func:`repro.telemetry.collecting`.
+    On exit the check and mismatch tallies are flushed to telemetry as
+    ``guard.checks.*`` / ``guard.mismatch.*`` counters.
     """
     global ACTIVE
-    with _ARM_LOCK:
-        if ACTIVE is not None:  # pragma: no cover - lock prevents this
-            raise RuntimeError("residue guard is already armed")
-        state = GuardState(config)
-        ACTIVE = state
-        try:
-            yield state
-        finally:
-            ACTIVE = None
+    if _ARM.state is not None:
+        raise RuntimeError("residue guard is already armed in this thread")
+    state = GuardState(config)
+    _ARM.state = state
+    with _LOCK:
+        _OPEN.add(state)
+        ACTIVE = _ARM
+    try:
+        yield state
+    finally:
+        _ARM.state = None
+        with _LOCK:
+            _OPEN.discard(state)
+            if not _OPEN:
+                ACTIVE = None
+            # under the lock: overlapping regions must not interleave
+            # their read-modify-write of the same counters
             t = _tm.ACTIVE
             if t is not None:
                 for stage, n in state.checks.items():

@@ -41,12 +41,15 @@ def isolate_process_state(tmp_path, monkeypatch):
     * the conformance :class:`ResultCache` default directory -- a shared
       on-disk cache made sweep results bleed between tests (and between
       whole pytest runs);
-    * the ``repro.probes`` / ``repro.telemetry`` arming globals -- a
-      test failing mid-``collecting`` region would leave instrumentation
-      armed for the rest of the session.
+    * the ``repro.probes`` / ``repro.telemetry`` / ``repro.guard`` arming
+      globals -- a test failing mid-``collecting`` region would leave
+      instrumentation armed for the rest of the session.  The guard's
+      checker state is per thread, but its global is set while *any*
+      thread holds a region, so the check sees an arm left by any
+      thread.
 
     Each test now starts cold: hw memos cleared (re-warm is
-    sub-millisecond), the cache dir pointed into ``tmp_path``, and both
+    sub-millisecond), the cache dir pointed into ``tmp_path``, and the
     arming globals verified clean before *and* after.  A test that leaks
     an armed collector fails itself rather than corrupting its
     successors.
@@ -69,6 +72,8 @@ def isolate_process_state(tmp_path, monkeypatch):
     probes.ARMED = None
     _tm_core.ACTIVE = None
     _gd_core.ACTIVE = None
+    _gd_core._OPEN.clear()
+    _gd_core._ARM.state = None
     assert not leaked_probes, "test leaked armed probes"
     assert not leaked_tm, "test leaked an active telemetry collector"
     assert not leaked_gd, "test leaked an armed residue guard"

@@ -55,7 +55,7 @@ BAD_VALUES = {
         ["--resume"],                       # requires --checkpoint
         ["--classes", "bogus"],
         ["--sites", "no.such.site"],
-        ["--guard", "--checkpoint", "x.json"],  # guard has no resume
+        ["--guard"],                        # the guard is repro.guard
     ],
     "repro.guard": [
         ["--injections", "0"],

@@ -23,10 +23,11 @@ from repro.conformance import (FAMILIES, MUTATIONS, ShardSpec, case_digest,
                                generate_cases, injected, run_mutation_check,
                                run_shard, run_sweep, shard_key,
                                shrink_stream, shrink_triple)
-from repro.conformance.checks import check_case, from_bits
+from repro.conformance.checks import check_case
 from repro.conformance.runner import main
 from repro.conformance.workunits import Case, load_golden_cases
 from repro.fma import FcsFmaUnit, PcsFmaUnit, cs_to_ieee, ieee_to_cs
+from repro.fp import word_to_fp
 
 # pools / armed collectors are process-global: never run
 # these concurrently with other tests (xdist, future runners)
@@ -179,9 +180,9 @@ class TestMutationTeeth:
 
     def test_injection_does_not_leak(self):
         unit = PcsFmaUnit()
-        a = from_bits(0x3FF4000000000000)
-        b = from_bits(0x4008000000000000)
-        c = from_bits(0xBFF8000000000000)
+        a = word_to_fp(0x3FF4000000000000)
+        b = word_to_fp(0x4008000000000000)
+        c = word_to_fp(0xBFF8000000000000)
         ref = unit.fma(ieee_to_cs(a, unit.params), b,
                        ieee_to_cs(c, unit.params))
         with injected("mant-lsb"):

@@ -19,6 +19,8 @@ from repro.faults.campaign import (CampaignConfig, load_checkpoint,
                                    run_campaign, run_injection)
 from repro.faults.sites import SITE_CLASSES, SITES, select_sites
 
+from _faults_util import fail_one_pool_slice
+
 # pools / armed collectors are process-global: never run
 # these concurrently with other tests (xdist, future runners)
 pytestmark = pytest.mark.serial
@@ -129,6 +131,17 @@ def test_parallel_report_matches_serial():
     res = par.pop("resilience")
     assert res["failed"] == []
     assert _dumps(serial) == _dumps(par)
+
+
+def test_failed_pool_slice_is_finished_inline(monkeypatch, tmp_path):
+    serial = run_campaign(SMALL)
+    fail_one_pool_slice(monkeypatch)
+    ckpt = tmp_path / "campaign.jsonl"
+    par = run_campaign(SMALL, workers=2, chunk=16, checkpoint=ckpt)
+    assert par.pop("resilience")["failed"] == [1]
+    assert _dumps(serial) == _dumps(par)
+    ids = [json.loads(line)["id"] for line in ckpt.read_text().splitlines()]
+    assert sorted(ids) == list(range(SMALL.injections))
 
 
 def test_run_injection_record_shape():

@@ -24,6 +24,8 @@ from repro.guard.campaign import (GUARD_STATUSES, _policy_for,
                                   run_guarded_injection)
 from repro.guard.voting import GuardPolicy
 
+from _faults_util import fail_one_pool_slice
+
 # pools / armed collectors are process-global: never run
 # these concurrently with other tests (xdist, future runners)
 pytestmark = pytest.mark.serial
@@ -92,6 +94,14 @@ class TestDeterminism:
         assert _dumps(serial) == _dumps(par)
 
 
+    def test_failed_pool_slice_is_finished_inline(self, monkeypatch):
+        serial = run_guarded_campaign(SMALL)
+        fail_one_pool_slice(monkeypatch)
+        par = run_guarded_campaign(SMALL, workers=2, chunk=16)
+        assert par.pop("resilience")["failed"] == [1]
+        assert _dumps(serial) == _dumps(par)
+
+
 class TestRecords:
     def test_guarded_record_shape(self):
         plan = plan_injections(SMALL)
@@ -148,11 +158,3 @@ class TestCli:
         assert gm.main(["--injections", str(SMALL.injections),
                         "--quiet"]) == 1
         assert "guard gate" in capsys.readouterr().err
-
-    def test_faults_cli_guard_flag(self, capsys):
-        from repro.faults.__main__ import main
-
-        assert main(["--guard", "--seed", "2", "--injections", "30",
-                     "--operands", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "guarded SEU campaign" in out

@@ -19,14 +19,17 @@ mode, and the arm global's fast path / telemetry flush.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from repro import probes
+from repro.batch import fma_batch, select_engine
 from repro.fma import FcsFmaUnit, PcsFmaUnit, cs_to_ieee, ieee_to_cs
 from repro.fma.classic import ClassicFmaUnit
 from repro.fma.formats import FCS_PARAMS, PCS_PARAMS
-from repro.fp import BINARY64
+from repro.fp import BINARY64, FPValue
 from repro.guard import residue as gd
 from repro.guard.residue import (EXACT_MODULI, GuardConfig, GuardMismatch,
                                  GuardState, guard_active, guarding,
@@ -227,8 +230,76 @@ class TestArming:
         assert gd.ACTIVE is None
         assert not guard_active()
         with guarding() as state:
-            assert gd.ACTIVE is state
+            assert gd.ACTIVE.state is state
             assert guard_active()
+        assert gd.ACTIVE is None
+
+    def test_nested_region_raises(self):
+        with guarding():
+            with pytest.raises(RuntimeError, match="already armed"):
+                with guarding():
+                    pass
+        assert gd.ACTIVE is None
+
+    def test_other_threads_run_unguarded(self):
+        # a region held by another thread neither diverts this thread's
+        # batches to the tuple kernel nor collects its checks
+        held, release = threading.Event(), threading.Event()
+        states = []
+
+        def hold():
+            with guarding() as state:
+                states.append(state)
+                held.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(10)
+            with collecting() as t:
+                engine = select_engine("fma", PcsFmaUnit(), 4096, "vector")
+            assert engine == "vector"
+            assert "batch.vector.fallback.armed-guard" not in \
+                t.snapshot().counters
+            xs = [FPValue.from_float(1.0 + i / 64, BINARY64)
+                  for i in range(64)]
+            fma_batch(xs, xs, xs, unit=PcsFmaUnit(), backend="tuple")
+            assert states[0].checks == {}
+            assert not guard_active()
+        finally:
+            release.set()
+            holder.join(10)
+        assert gd.ACTIVE is None
+
+    def test_regions_in_two_threads_overlap(self):
+        # both threads hold a region at once (neither waits for the
+        # other) and each counts only its own kernel's checks
+        inside = threading.Barrier(2, timeout=5)
+        checks, errors = {}, []
+        unit = PcsFmaUnit()
+        a = ieee_to_cs(FPValue.from_float(1.5, BINARY64), unit.params)
+        b = FPValue.from_float(2.0, BINARY64)
+
+        def guarded(name, fmas):
+            try:
+                with guarding() as state:
+                    inside.wait()
+                    for _ in range(fmas):
+                        unit.fma(a, b, a)
+                    inside.wait()
+                checks[name] = state.total_checks
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=guarded, args=(n, k))
+                   for n, k in (("one", 1), ("two", 2))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(30)
+        assert errors == []
+        assert checks["two"] == 2 * checks["one"] > 0
         assert gd.ACTIVE is None
 
     def test_disarms_after_exception(self):
