@@ -44,9 +44,9 @@ def select_engine(op: str, unit: CSFmaUnit, size: int,
     ``use_batch=False`` runs the faithful models; the request is
     ``backend``, else :data:`~repro.batch.engines.BACKEND_ENV`, else
     ``auto``; strict units have no fast kernel and run faithful.  A
-    ``vector``/``auto`` request then goes to the tuple kernel while
-    probes are armed or the calling thread holds the residue guard (they
-    observe the scalar datapath), and an ``auto`` one also when ``size`` is below the
+    ``vector``/``auto`` request then goes to the tuple kernel while the
+    calling thread has probes or the residue guard armed (they observe
+    the scalar datapath), and an ``auto`` one also when ``size`` is below the
     measured crossover under which the lane engine's fixed ndarray cost
     loses (docs/PERFORMANCE.md); a ``vector`` pin skips only that size
     test.  The one fallback reason is counted as
@@ -63,8 +63,8 @@ def select_engine(op: str, unit: CSFmaUnit, size: int,
         return "faithful"
     if backend in ("tuple", "faithful"):
         return backend
-    guard = _gd.ACTIVE
-    if probes.ARMED is not None:
+    arms, guard = probes.ARMED, _gd.ACTIVE
+    if arms is not None and arms.state is not None:
         reason = "armed-probes"
     elif guard is not None and guard.state is not None:
         reason = "armed-guard"

@@ -327,7 +327,7 @@ class FastCSKernel:
         else:
             s, c = tree_fn(R, True)(cv & mask, mask, pos)
         if probes.ARMED is not None:
-            # fault-injection probe: the compiled-tree product rows
+            # fault-injection probe, armed per thread: the tree's rows
             s, c = probes.probe("batch.product", (s, c))
         g = _gd.ACTIVE
         if g is not None and (g := g.state) is not None:
@@ -496,8 +496,8 @@ class FastCSKernel:
             w_carry = ((((A & B) | (axb & z)) & H) << 1) & wmask
 
         if probes.ARMED is not None:
-            # fault-injection probe: the window planes (post-SWAR Carry
-            # Reduce for PCS, raw 3:2 output for FCS)
+            # fault-injection probe, armed per thread: the window planes
+            # (post-SWAR Carry Reduce for PCS, raw 3:2 output for FCS)
             w_sum, w_carry = probes.probe("batch.window",
                                           (w_sum, w_carry))
 

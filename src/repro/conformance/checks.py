@@ -97,7 +97,7 @@ def _mismatch(case: Case, unit: str, got: str, want: str,
 # per-family checks (each returns a list of mismatch dicts)
 
 
-def _check_triple(case: Case, unit_name: str) -> list[dict]:
+def _check_triple(case: Case, unit_name: str, backend: str) -> list[dict]:
     a, b, c = (word_to_fp(w) for w in case.operands[:3])
     out: list[dict] = []
     if unit_name == "classic":
@@ -115,7 +115,7 @@ def _check_triple(case: Case, unit_name: str) -> list[dict]:
     unit = unit_by_name(unit_name)
     ref = unit.fma(ieee_to_cs(a, unit.params), b,
                    ieee_to_cs(c, unit.params))
-    (fast,) = fma_batch([a], [b], [c], unit=unit)
+    (fast,) = fma_batch([a], [b], [c], unit=unit, backend=backend)
     if not _same_cs(fast, ref):
         out.append(_mismatch(case, unit_name, describe_cs(fast),
                              describe_cs(ref), "kernel vs faithful unit"))
@@ -127,8 +127,8 @@ def _check_triple(case: Case, unit_name: str) -> list[dict]:
     return out
 
 
-def _check_chain(case: Case, unit_name: str) -> list[dict]:
-    """Dependent FMA chain: CS results feed the next A/C operands."""
+def _check_chain(case: Case, unit_name: str, backend: str) -> list[dict]:
+    """Tuple-kernel FMA chain: CS results feed the next A/C operands."""
     seeds = [word_to_fp(w) for w in case.operands[:3]]
     bs = [word_to_fp(w) for w in case.operands[3:]]
     if unit_name == "classic":
@@ -161,14 +161,14 @@ def _check_chain(case: Case, unit_name: str) -> list[dict]:
     return []
 
 
-def _check_dot(case: Case, unit_name: str) -> list[dict]:
+def _check_dot(case: Case, unit_name: str, backend: str) -> list[dict]:
     a = [word_to_fp(w) for w in case.operands[0::2]]
     b = [word_to_fp(w) for w in case.operands[1::2]]
     if unit_name == "classic":
         return []  # the fused dot product only exists on the CS units
     unit = unit_by_name(unit_name)
     ref = FusedDotProductUnit(unit).dot(a, b)
-    fast = dot_batch(a, b, unit=unit)
+    fast = dot_batch(a, b, unit=unit, backend=backend)
     if not _same_ieee(fast, ref):
         return [_mismatch(case, unit_name, describe_ieee(fast),
                           describe_ieee(ref), f"dot len {len(a)}")]
@@ -183,14 +183,15 @@ _CHECKS = {
 }
 
 
-def check_case(case: Case, units: tuple[str, ...]) -> list[dict]:
-    """Run one case through every requested unit; crashes become
-    mismatches of kind ``exception``."""
+def check_case(case: Case, units: tuple[str, ...],
+               backend: str = "auto") -> list[dict]:
+    """Run one case through every requested unit, the fast side on the
+    batch ``backend``; crashes become mismatches of kind ``exception``."""
     out: list[dict] = []
     fn = _CHECKS[case.family]
     for unit_name in units:
         try:
-            out.extend(fn(case, unit_name))
+            out.extend(fn(case, unit_name, backend))
         except Exception:
             out.append(_mismatch(
                 case, unit_name, "<exception>", "<result>",

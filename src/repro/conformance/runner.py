@@ -25,14 +25,15 @@ import os
 import sys
 import time
 
+from ..batch.engines import BACKEND_ENV
 from ..faults.resilient import RetryPolicy, run_resilient
 from ..telemetry import core as _tm
 from . import mutation as mutation_mod
 from .cache import ResultCache, code_fingerprint, default_cache_dir, shard_key
 from .checks import check_case
 from .shrink import shrink_stream, shrink_triple
-from .workunits import (FAMILIES, UNITS, Case, ShardSpec, case_digest,
-                        generate_cases)
+from .workunits import (BACKENDS, FAMILIES, UNITS, Case, ShardSpec,
+                        case_digest, generate_cases)
 
 __all__ = ["run_shard", "run_sweep", "run_mutation_check",
            "format_summary", "main"]
@@ -45,29 +46,25 @@ _SHRINK_CAP = 5           # counterexamples shrunk per shard
 # one shard
 
 
-def _still_fails(mismatch: dict, case: Case, operands: tuple[int, ...],
-                 ) -> bool:
-    trial = Case(case.family, case.stratum, tuple(operands),
-                 case_id=case.case_id)
-    return any(m["unit"] == mismatch["unit"]
-               for m in check_case(trial, (mismatch["unit"],)))
+def _shrink_mismatch(mismatch: dict, case: Case, backend: str) -> None:
+    def still_fails(operands) -> bool:
+        trial = Case(case.family, case.stratum, tuple(operands),
+                     case_id=case.case_id)
+        return any(m["unit"] == mismatch["unit"] for m in
+                   check_case(trial, (mismatch["unit"],), backend))
 
-
-def _shrink_mismatch(mismatch: dict, case: Case) -> None:
     ops = tuple(int(w, 16) for w in mismatch["operands"])
     if case.family in ("stratified", "golden"):
         report = shrink_triple(
             ops[0], ops[1], ops[2],
-            lambda a, b, c: _still_fails(mismatch, case, (a, b, c)),
+            lambda a, b, c: still_fails((a, b, c)),
             max_evals=_SHRINK_BUDGET)
     elif case.family == "chain":
-        report = shrink_stream(
-            ops, lambda ws: _still_fails(mismatch, case, tuple(ws)),
-            head=3, group=1, max_evals=_SHRINK_BUDGET)
+        report = shrink_stream(ops, still_fails, head=3, group=1,
+                               max_evals=_SHRINK_BUDGET)
     else:  # dot: operands are (a_i, b_i) pairs
-        report = shrink_stream(
-            ops, lambda ws: _still_fails(mismatch, case, tuple(ws)),
-            head=0, group=2, max_evals=_SHRINK_BUDGET)
+        report = shrink_stream(ops, still_fails, head=0, group=2,
+                               max_evals=_SHRINK_BUDGET)
     mismatch["shrink"] = report
 
 
@@ -83,13 +80,13 @@ def run_shard(spec: ShardSpec) -> dict:
             if case.family == "dot":  # classic has no fused dot datapath
                 units = tuple(u for u in units if u != "classic")
             checks += len(units)
-            mismatches.extend(check_case(case, units))
+            mismatches.extend(check_case(case, units, spec.backend))
         if spec.shrink:
             for m in mismatches[:_SHRINK_CAP]:
                 matching = [c for c in cases if c.case_id == m["case_id"]
                             and c.family == m["family"]]
                 if matching:
-                    _shrink_mismatch(m, matching[0])
+                    _shrink_mismatch(m, matching[0], spec.backend)
     elapsed = time.perf_counter() - t0
     tm = _tm.ACTIVE
     if tm is not None:
@@ -158,14 +155,14 @@ def run_sweep(shards: int = 8, workers: int | None = None, seed: int = 0, *,
               cache_dir: "str | os.PathLike | None" = None,
               fingerprint_extra: str = "", cache_salt: str = "",
               shard_timeout_s: float | None = 300.0,
-              retries: int = 3) -> dict:
+              retries: int = 3, backend: str = "auto") -> dict:
     """Run the sharded conformance sweep and return the full report.
 
     ``workers=None`` uses ``os.cpu_count()``; ``workers<=1`` runs inline
     (no pool), which is also the mode every shard re-runs in under
     ``--repro``.  Shard results are served from the content-hash cache
-    whenever code, vectors, and spec are unchanged; mutation sweeps
-    bypass the cache entirely.
+    whenever code, vectors, and spec (``backend`` included) are
+    unchanged; mutation sweeps bypass the cache entirely.
 
     Parallel shards run under the resilient executor
     (:func:`repro.faults.resilient.run_resilient`): each shard gets a
@@ -187,7 +184,7 @@ def run_sweep(shards: int = 8, workers: int | None = None, seed: int = 0, *,
     specs = [ShardSpec(shard_id=i, num_shards=shards, seed=seed,
                        cases=cases, families=tuple(families),
                        units=tuple(units), mutation=mutation,
-                       shrink=shrink)
+                       shrink=shrink, backend=backend)
              for i in range(shards)]
 
     cache = None
@@ -248,7 +245,7 @@ def run_sweep(shards: int = 8, workers: int | None = None, seed: int = 0, *,
             "shards": shards, "workers": workers, "seed": seed,
             "cases": cases, "families": list(families),
             "units": list(units), "mutation": mutation,
-            "cache": use_cache, "shrink": shrink,
+            "cache": use_cache, "shrink": shrink, "backend": backend,
         },
         "shards": ordered,
         "mismatches": all_mismatches,
@@ -286,7 +283,7 @@ def run_sweep(shards: int = 8, workers: int | None = None, seed: int = 0, *,
 
 def run_mutation_check(mutations: "list[str] | None" = None, *,
                        shards: int = 2, workers: int = 1, seed: int = 0,
-                       cases: int = 48) -> dict:
+                       cases: int = 48, backend: str = "auto") -> dict:
     """Inject each fault and assert the sweep catches it.
 
     Runs one clean baseline (must be mismatch-free) plus one mutated
@@ -295,7 +292,8 @@ def run_mutation_check(mutations: "list[str] | None" = None, *,
     """
     names = list(mutations) if mutations else sorted(mutation_mod.MUTATIONS)
     clean = run_sweep(shards=shards, workers=workers, seed=seed,
-                      cases=cases, use_cache=False, shrink=False)
+                      cases=cases, use_cache=False, shrink=False,
+                      backend=backend)
     report: dict = {
         "clean_mismatches": clean["totals"]["mismatches"],
         "mutants": {},
@@ -303,7 +301,8 @@ def run_mutation_check(mutations: "list[str] | None" = None, *,
     ok = clean["totals"]["mismatches"] == 0
     for name in names:
         swept = run_sweep(shards=shards, workers=workers, seed=seed,
-                          cases=cases, mutation=name, shrink=False)
+                          cases=cases, mutation=name, shrink=False,
+                          backend=backend)
         found = swept["totals"]["mismatches"]
         report["mutants"][name] = {
             "units": list(mutation_mod.mutation_units(name)),
@@ -413,25 +412,17 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--mutation-check", action="store_true",
                         help="inject every fault and assert detection")
     parser.add_argument("--list-mutations", action="store_true")
-    parser.add_argument("--backend", default=None,
-                        choices=("auto", "vector", "tuple", "faithful"),
-                        help="pin the repro.batch backend for the whole "
-                             "sweep (exported as REPRO_BATCH_BACKEND so "
-                             "shard workers inherit it)")
+    parser.add_argument("--backend", default=None, choices=BACKENDS,
+                        help="the repro.batch backend the sweep checks "
+                             f"(default: ${BACKEND_ENV}, else auto)")
     args = parser.parse_args(argv)
-
-    if args.backend is not None:
-        # the batch entry points consult this env var whenever a caller
-        # does not pass an explicit backend, so one export covers the
-        # inline path and every pooled shard process alike
-        import os
-
-        from ..batch.engines import BACKEND_ENV
-
-        os.environ[BACKEND_ENV] = args.backend
+    backend = args.backend or os.environ.get(BACKEND_ENV) or "auto"
 
     # semantic argument validation fails with the argparse convention
     # (exit 2 + usage on stderr), distinct from runtime failures (1)
+    if backend not in BACKENDS:
+        parser.error(f"{BACKEND_ENV}={backend}: a sweep runs on one of "
+                     f"{', '.join(BACKENDS)}")
     if args.shards < 1:
         parser.error("--shards must be >= 1")
     if args.cases < 1:
@@ -455,7 +446,7 @@ def main(argv: "list[str] | None" = None) -> int:
         report = run_mutation_check(
             [args.mutation] if args.mutation else None,
             shards=min(args.shards, 2), workers=args.workers or 1,
-            seed=args.seed, cases=args.cases)
+            seed=args.seed, cases=args.cases, backend=backend)
         print(_format_mutation_report(report))
         if args.json_out:
             _write_json(args.json_out, report)
@@ -466,7 +457,7 @@ def main(argv: "list[str] | None" = None) -> int:
                          seed=args.seed, cases=args.cases,
                          families=tuple(args.families),
                          units=tuple(args.units), mutation=args.mutation,
-                         shrink=not args.no_shrink)
+                         shrink=not args.no_shrink, backend=backend)
         result = _shard_entry(spec.to_dict())
         report = {"config": spec.to_dict(), "shards": [result],
                   "mismatches": result["mismatches"],
@@ -483,7 +474,7 @@ def main(argv: "list[str] | None" = None) -> int:
             units=tuple(args.units), mutation=args.mutation,
             shrink=not args.no_shrink, use_cache=not args.no_cache,
             cache_dir=args.cache_dir, shard_timeout_s=args.shard_timeout,
-            retries=args.retries)
+            retries=args.retries, backend=backend)
     print(format_summary(report))
     if args.json_out:
         _write_json(args.json_out, report)

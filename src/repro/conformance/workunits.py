@@ -31,6 +31,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 __all__ = [
+    "BACKENDS",
     "FAMILIES",
     "UNITS",
     "STRATA",
@@ -48,6 +49,9 @@ FAMILIES = ("stratified", "golden", "chain", "dot")
 
 #: FMA flavors under test
 UNITS = ("classic", "pcs", "fcs")
+
+#: batch backends a sweep can check (not the faithful oracle itself)
+BACKENDS = ("auto", "vector", "tuple")
 
 #: operand-class strata for the random family (cycled deterministically)
 STRATA = (
@@ -81,6 +85,7 @@ class ShardSpec:
     units: tuple[str, ...] = UNITS
     mutation: str | None = None
     shrink: bool = True
+    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if not (0 <= self.shard_id < self.num_shards):
@@ -91,6 +96,8 @@ class ShardSpec:
         bad = set(self.units) - set(UNITS)
         if bad:
             raise ValueError(f"unknown units: {sorted(bad)}")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -22,7 +22,7 @@ import sys
 
 from ..faults.__main__ import add_campaign_args, campaign_config, write_json
 from .campaign import render_guarded_text, run_guarded_campaign
-from .voting import MODES, GuardPolicy
+from .voting import MIN_EXECUTIONS, MODES, GuardPolicy
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,8 +62,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--min-coverage must be in [0, 1]")
     policy = GuardPolicy(
         mode=args.mode,
-        max_executions=max(args.max_executions,
-                           {"residue": 1, "dmr": 2, "tmr": 3}[args.mode]))
+        max_executions=max(args.max_executions, MIN_EXECUTIONS[args.mode]))
     report = run_guarded_campaign(config, policy, workers=args.workers,
                                   timeout_s=args.timeout,
                                   max_attempts=args.retries)

@@ -26,22 +26,22 @@ Two regimes appear in this model (docs/GUARD.md works the math):
 Every check sits behind the module global :data:`ACTIVE`, with the same
 one-load disabled fast path as :mod:`repro.probes` and
 :mod:`repro.telemetry`; the hot kernels hoist it once per call.  The
-checker state itself is per thread: while any thread guards, the hooks
-read the calling thread's state from :data:`ACTIVE`, so a region checks
-only its own thread's kernels.  A failed check raises
-:class:`GuardMismatch` (or records it in ``record_only`` mode), which
-the SEU campaign classifies as *detected* and the
-:class:`~repro.guard.voting.GuardedExecutor` treats as the trigger for
-redundant re-execution.
+checker state is per thread, armed through the fault probes'
+:class:`~repro.probes.ThreadSwitch`: the hooks read the calling
+thread's state from :data:`ACTIVE`, so a region checks only its own
+thread's kernels.  A failed check raises :class:`GuardMismatch` (or
+records it in ``record_only`` mode), which the SEU campaign classifies
+as *detected* and the :class:`~repro.guard.voting.GuardedExecutor`
+treats as the trigger for redundant re-execution.
 """
 
 from __future__ import annotations
 
 import contextlib
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
+from ..probes import ThreadSwitch
 from ..telemetry import core as _tm
 
 __all__ = [
@@ -243,65 +243,33 @@ def lza_shadow(a: int, b: int, width: int) -> int:
 # the arm: one global for the fast path, the checker state per thread
 
 
-class _Arm(threading.local):
-    """The calling thread's checker state (``None`` while it is not
-    guarding)."""
+#: ``None`` while no thread is guarding (the one-load fast path every
+#: datapath hook tests), else ``SWITCH.local``: its ``state`` is the
+#: *calling* thread's :class:`GuardState`, ``None`` in the others
+ACTIVE = None
 
-    state: "GuardState | None" = None
-
-
-#: ``None`` while no thread is guarding: the one-load fast path every
-#: datapath hook tests.  While any thread is, it is the per-thread
-#: :class:`_Arm`, whose ``state`` is the *calling* thread's
-#: :class:`GuardState` -- ``None`` in threads that are not guarding, so
-#: one thread's region never checks another thread's kernels.
-ACTIVE: "_Arm | None" = None
-
-_ARM = _Arm()
-
-#: the states of every open region, across threads; with the telemetry
-#: flush, guarded by :data:`_LOCK`
-_OPEN: "set[GuardState]" = set()
-_LOCK = threading.Lock()
+SWITCH = ThreadSwitch(globals(), "ACTIVE", "residue guard")
 
 
 def guard_active() -> bool:
     """True while the calling thread has the residue checkers armed."""
-    arm = ACTIVE
-    return arm is not None and arm.state is not None
+    return SWITCH.local.state is not None
 
 
 @contextlib.contextmanager
 def guarding(config: GuardConfig | None = None) -> Iterator[GuardState]:
     """Arm the residue checkers in the calling thread for the duration of
-    the context.
-
-    Each thread arms its own :class:`GuardState`, so regions in
-    different threads overlap without waiting for each other and never
-    check each other's kernels (the serving layer verifies batches on
-    several worker threads).  Within a thread a region is non-reentrant,
-    like :func:`repro.probes.armed` and :func:`repro.telemetry.collecting`.
-    On exit the check and mismatch tallies are flushed to telemetry as
-    ``guard.checks.*`` / ``guard.mismatch.*`` counters.
+    the context: a :meth:`~repro.probes.ThreadSwitch.region`, like
+    :func:`repro.probes.armed`, so regions in different threads (the
+    server's workers) overlap and never check each other's kernels.  On
+    exit the tallies are flushed to telemetry as ``guard.checks.*`` /
+    ``guard.mismatch.*`` counters.
     """
-    global ACTIVE
-    if _ARM.state is not None:
-        raise RuntimeError("residue guard is already armed in this thread")
     state = GuardState(config)
-    _ARM.state = state
-    with _LOCK:
-        _OPEN.add(state)
-        ACTIVE = _ARM
-    try:
-        yield state
-    finally:
-        _ARM.state = None
-        with _LOCK:
-            _OPEN.discard(state)
-            if not _OPEN:
-                ACTIVE = None
-            # under the lock: overlapping regions must not interleave
-            # their read-modify-write of the same counters
+    with SWITCH.region(state):
+        try:
+            yield state
+        finally:
             t = _tm.ACTIVE
             if t is not None:
                 for stage, n in state.checks.items():

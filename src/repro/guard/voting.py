@@ -38,7 +38,8 @@ from .residue import GuardConfig, GuardMismatch
 
 __all__ = ["GuardPolicy", "GuardedOutcome", "GuardedExecutor"]
 
-MODES = ("residue", "dmr", "tmr")
+MIN_EXECUTIONS = {"residue": 1, "dmr": 2, "tmr": 3}
+MODES = tuple(MIN_EXECUTIONS)
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class GuardPolicy:
 
     @property
     def min_executions(self) -> int:
-        return {"residue": 1, "dmr": 2, "tmr": 3}[self.mode]
+        return MIN_EXECUTIONS[self.mode]
 
 
 @dataclass

@@ -15,7 +15,9 @@ is ``return value`` behind one global load, so the faithful units and
 the batch kernels keep their performance profile.  Armed, the
 :class:`Arm` for the tag counts dynamic occurrences and applies its
 transform exactly at the requested occurrence -- a *transient* upset of
-one register on one clock edge, not a stuck-at fault.
+one register on one clock edge, not a stuck-at fault.  Faults arm per
+thread, through the :class:`ThreadSwitch` the residue guard also uses,
+so one thread's fault never fires in another thread's kernels.
 
 This module is deliberately dependency-free: it is imported by
 ``repro.cs``/``repro.fma``/``repro.batch`` and *used* by
@@ -25,12 +27,64 @@ This module is deliberately dependency-free: it is imported by
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Any, Callable, Iterator
 
-__all__ = ["Arm", "armed", "probe", "probe_active"]
+__all__ = ["Arm", "ThreadSwitch", "armed", "probe"]
 
-#: tag -> Arm while a fault is armed; ``None`` always means "fast path".
-ARMED: "dict[str, Arm] | None" = None
+
+class _PerThread(threading.local):
+    state: Any = None      # the calling thread's region state
+
+
+class ThreadSwitch:
+    """A module flag armed per thread.  ``flags[name]`` (a global of the
+    owning module) is ``None`` while no thread holds a :meth:`region`,
+    so a disarmed hook is one global load; else it is :attr:`local`,
+    whose ``state`` is the calling thread's state, ``None`` in others.
+    Regions in different threads overlap; within a thread none nest.
+    """
+
+    def __init__(self, flags: dict, name: str, what: str):
+        self.local = _PerThread()
+        self._flags, self._name, self._what = flags, name, what
+        self._held = 0
+        self._lock = threading.Lock()
+
+    @contextlib.contextmanager
+    def region(self, state: Any) -> Iterator[Any]:
+        local = self.local
+        if local.state is not None:
+            raise RuntimeError(f"{self._what} already armed in this thread")
+        local.state = state
+        with self._lock:
+            self._held += 1
+            self._flags[self._name] = local
+        try:
+            yield state
+        finally:
+            local.state = None
+            with self._lock:
+                self._held -= 1
+                if not self._held:
+                    self._flags[self._name] = None
+
+    def reset(self) -> bool:
+        """Disarm unconditionally; True if any region was held (the
+        test suite's leak check)."""
+        with self._lock:
+            held = self._flags[self._name] is not None
+            self._held = 0
+            self.local.state = None
+            self._flags[self._name] = None
+        return held
+
+
+#: ``None`` while no thread has faults armed (the one-load fast path),
+#: else ``SWITCH.local``: its ``state`` is this thread's tag -> Arm dict
+ARMED: "_PerThread | None" = None
+
+SWITCH = ThreadSwitch(globals(), "ARMED", "fault probes")
 
 
 class Arm:
@@ -64,36 +118,19 @@ class Arm:
 def probe(tag: str, value: Any) -> Any:
     """Pass ``value`` through the probe point named ``tag``.
 
-    Identity unless a campaign armed a fault at this tag; hot paths may
-    guard the call with :func:`probe_active` to skip even the call.
+    Identity unless the calling thread armed a fault at this tag.
     """
-    if ARMED is None:
+    arms = ARMED
+    if arms is None or (arms := arms.state) is None:
         return value
-    arm = ARMED.get(tag)
+    arm = arms.get(tag)
     if arm is None:
         return value
     return arm.fire(value)
 
 
-def probe_active() -> bool:
-    """True while any fault is armed (hot-path call guard)."""
-    return ARMED is not None
-
-
-@contextlib.contextmanager
-def armed(arms: "dict[str, Arm]") -> Iterator["dict[str, Arm]"]:
-    """Arm the given faults for the duration of the context.
-
-    Arming is process-global (the datapaths read one module global) and
-    intentionally non-reentrant: campaigns evaluate one faulted
-    configuration at a time, and nesting would make "which fault caused
-    this outcome" ambiguous.
-    """
-    global ARMED
-    if ARMED is not None:
-        raise RuntimeError("fault probes are already armed")
-    ARMED = arms
-    try:
-        yield arms
-    finally:
-        ARMED = None
+def armed(arms: "dict[str, Arm]") -> "contextlib.AbstractContextManager":
+    """Arm ``arms`` in the calling thread for the duration of the context
+    (a :meth:`ThreadSwitch.region`, like :func:`repro.guard.guarding`).
+    Not reentrant: nesting would blur which fault caused an outcome."""
+    return SWITCH.region(arms)

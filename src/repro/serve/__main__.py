@@ -16,6 +16,7 @@ import asyncio
 import json
 import sys
 
+from ..batch.engines import BACKENDS
 from ..faults.resilient import RetryPolicy
 from .loadgen import LoadSpec, percentile, run_open_loop
 from .server import FmaServer, ServeConfig
@@ -51,16 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
                          "(process isolation only)")
     ap.add_argument("--retries", type=int, default=2,
                     help="max attempts per batch (default 2)")
-    ap.add_argument("--no-kernels", action="store_true",
-                    help="serve through the faithful scalar models "
-                         "instead of the repro.batch kernels")
-    ap.add_argument("--backend", choices=("auto", "vector", "tuple",
-                                          "faithful"), default=None,
+    ap.add_argument("--backend", choices=BACKENDS, default=None,
                     help="default batch backend for requests that do "
-                         "not pin one (default: auto, which runs the "
-                         "tuple kernel below the lane engine's measured "
-                         "crossovers of 768 fma lanes, 72 dots per "
-                         "payload or 1280 elements per dot; the "
+                         "not pin one; faithful serves fma, dot and acc "
+                         "on the faithful models (default: auto, which "
+                         "runs the tuple kernel below the lane engine's "
+                         "measured crossovers of 768 fma lanes, 72 dots "
+                         "per payload or 1280 elements per dot; the "
                          "default --max-batch 64 reaches neither "
                          "batch size)")
     ap.add_argument("--self-test", action="store_true",
@@ -79,7 +77,6 @@ def _config(args) -> ServeConfig:
         slow_start=not args.no_slow_start,
         default_timeout_s=(None if args.default_timeout_ms is None
                            else args.default_timeout_ms / 1000.0),
-        use_batch=not args.no_kernels,
         backend=args.backend,
         isolation=args.isolation,
         exec_timeout_s=args.exec_timeout,

@@ -62,11 +62,10 @@ def _units():
 
 
 def payload_from_requests(op: str, fmt: str, requests: "list[Request]",
-                          use_batch: bool = True,
                           verify: str | None = None,
                           backend: str | None = None) -> dict:
     """Flatten one coalesced batch into a picklable payload dict."""
-    payload = {"op": op, "fmt": fmt, "use_batch": use_batch,
+    payload = {"op": op, "fmt": fmt,
                "items": [(r.a, r.b, r.c) for r in requests]}
     if verify is not None:
         payload["verify"] = verify
@@ -75,8 +74,7 @@ def payload_from_requests(op: str, fmt: str, requests: "list[Request]",
     return payload
 
 
-def _exec_fma(fmt: str, items, use_batch: bool,
-              backend: str | None = None) -> list:
+def _exec_fma(fmt: str, items, backend: str | None) -> list:
     unit = _units()[fmt]
     if fmt == "classic":
         out = []
@@ -87,11 +85,10 @@ def _exec_fma(fmt: str, items, use_batch: bool,
     a = [word_to_fp(w) for w, _b, _c in items]
     b = [word_to_fp(w) for _a, w, _c in items]
     c = [word_to_fp(w) for _a, _b, w in items]
-    results = fma_batch(a, b, c, unit=unit, use_batch=use_batch,
-                        backend=backend)
-    kernel = kernel_for(unit) if use_batch else None
-    if kernel is None:
+    results = fma_batch(a, b, c, unit=unit, backend=backend)
+    if backend == "faithful":
         return [("ok", fp_to_word(cs_to_ieee(r))) for r in results]
+    kernel = kernel_for(unit)
     lift, to_ieee = kernel.lift_cs, kernel.to_ieee
     return [("ok", fp_to_word(to_ieee(lift(r)))) for r in results]
 
@@ -115,22 +112,21 @@ def _exec_dot_vector(unit, items) -> list:
     return [("ok", fp_to_word(to_ieee(t))) for t in tuples]
 
 
-def _exec_dot(fmt: str, items, use_batch: bool,
-              backend: str | None = None) -> list:
+def _exec_dot(fmt: str, items, backend: str | None) -> list:
     unit = _units()[fmt]
-    if items and select_engine("dot-lanes", unit, len(items), backend,
-                               use_batch) == "vector":
+    if items and select_engine("dot-lanes", unit, len(items),
+                               backend) == "vector":
         return _exec_dot_vector(unit, items)
     out = []
     for aw, bw, _c in items:
         a = [word_to_fp(w) for w in aw]
         b = [word_to_fp(w) for w in bw]
-        out.append(("ok", fp_to_word(dot_batch(
-            a, b, unit=unit, use_batch=use_batch, backend=backend))))
+        out.append(("ok", fp_to_word(dot_batch(a, b, unit=unit,
+                                                backend=backend))))
     return out
 
 
-def _exec_acc(items, use_batch: bool) -> list:
+def _exec_acc(items, backend: str | None) -> list:
     from ..batch import accumulate_batch
 
     out = []
@@ -138,7 +134,7 @@ def _exec_acc(items, use_batch: bool) -> list:
         a = [word_to_fp(w) for w in aw]
         b = [word_to_fp(w) for w in bw]
         try:
-            acc = accumulate_batch(a, b, use_batch=use_batch)
+            acc = accumulate_batch(a, b, use_batch=backend != "faithful")
             out.append(("ok", fp_to_word(acc.result())))
         except ArithmeticError as exc:
             out.append(("error", "exception",
@@ -157,14 +153,13 @@ def execute_payload(payload: dict) -> list:
     op = payload["op"]
     fmt = payload["fmt"]
     items = payload["items"]
-    use_batch = payload.get("use_batch", True)
     backend = payload.get("backend")
     if op == "fma":
-        return _exec_fma(fmt, items, use_batch, backend)
+        return _exec_fma(fmt, items, backend)
     if op == "dot":
-        return _exec_dot(fmt, items, use_batch, backend)
+        return _exec_dot(fmt, items, backend)
     if op == "acc":
-        return _exec_acc(items, use_batch)
+        return _exec_acc(items, backend)
     raise ValueError(f"unknown op {op!r}")
 
 

@@ -51,6 +51,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from ..batch.engines import BACKENDS
 from ..faults.resilient import RetryPolicy
 from ..telemetry import Telemetry
 from ..telemetry import core as _tm
@@ -92,7 +93,6 @@ class ServeConfig:
     initial_window: int = 64
     min_window: int = 8
     default_timeout_s: float | None = None   # per-request budget
-    use_batch: bool = True           # fast kernels vs faithful loop
     backend: str | None = None       # default batch backend (None=auto)
     isolation: str = "inline"        # "inline" | "process"
     exec_timeout_s: float | None = None      # per-attempt (process mode)
@@ -105,11 +105,8 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.backend is not None:
-            from ..batch.engines import BACKENDS
-            if self.backend not in BACKENDS:
-                raise ValueError(
-                    f"backend must be one of {BACKENDS}")
+        if self.backend is not None and self.backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.tcp_line_limit < 1024:
@@ -281,7 +278,6 @@ class FmaServer:
             op, fmt = key.split(".")[:2]  # key may carry a verify level
             payload = payload_from_requests(
                 op, fmt, [e.req for e in live],
-                use_batch=self.config.use_batch,
                 verify=live[0].req.verify,
                 backend=live[0].req.backend or self.config.backend)
             t0 = time.perf_counter_ns()

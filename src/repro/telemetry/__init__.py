@@ -8,13 +8,13 @@ a product falls below the window, how shards and campaigns spend their
 time.  Speed itself is measured by the repository benchmark
 (``perfbench/``), not here.
 
-The design mirrors :mod:`repro.probes` (the SEU fault-injection arm
-layer): instrumented code performs a single module-global ``None`` check
+Like :mod:`repro.probes` (the SEU fault-injection arm layer),
+instrumented code performs a single module-global ``None`` check
 (``core.ACTIVE``) on the fast path, so with telemetry disabled -- the
 default, and the only state outside an explicit
 :func:`~repro.telemetry.core.collecting` region -- the datapaths keep
-their performance profile.  Collection is process-global and
-non-reentrant, exactly like fault arming.
+their performance profile.  Unlike fault arming, which is per thread,
+collection is process-wide (see :mod:`repro.telemetry.core`).
 
 Four instrument kinds, all chosen for *deterministic merging* (parallel
 shard snapshots must aggregate to the same report bytes in any order):

@@ -1,6 +1,6 @@
-"""The collection layer: one global, O(1) disabled, armed like probes.
+"""The collection layer: one global, O(1) disabled, armed process-wide.
 
-Instrumented modules follow the :mod:`repro.probes` pattern::
+Instrumented modules test one module global, as the fault probes do::
 
     from ..telemetry import core as _tm
 
@@ -17,9 +17,11 @@ of *batched* code goes at call boundaries (once per ``dot_batch``, never
 per element), which is what keeps disabled-mode overhead under the 2%
 gate in ``benchmarks/test_telemetry_overhead.py``.
 
-Collection is process-global and deliberately non-reentrant: nesting two
-regions would make "which run produced this counter" ambiguous, exactly
-as nested fault arming would.  Worker processes of the parallel runners
+Collection is process-wide, unlike the per-thread fault probes and
+residue guard: the server's executor threads count into the collector
+their caller armed, so a :class:`Telemetry` locks its own updates.
+Nesting regions would make "which run produced this counter" ambiguous,
+so they are non-reentrant.  Worker processes of the parallel runners
 start with ``ACTIVE = None``; their snapshots, when taken explicitly,
 merge deterministically via :func:`repro.telemetry.merge_snapshots`.
 """
@@ -27,6 +29,7 @@ merge deterministically via :func:`repro.telemetry.merge_snapshots`.
 from __future__ import annotations
 
 import contextlib
+import threading
 import time
 from typing import Iterator
 
@@ -47,7 +50,8 @@ DROPPED_TAG = "telemetry.events.dropped"
 class Telemetry:
     """Mutable collection state for one :func:`collecting` region."""
 
-    __slots__ = ("counters", "spans", "gauges", "events", "max_events")
+    __slots__ = ("counters", "spans", "gauges", "events", "max_events",
+                 "_lock")
 
     def __init__(self, max_events: int = MAX_EVENTS):
         self.counters: dict[str, int] = {}
@@ -55,30 +59,34 @@ class Telemetry:
         self.gauges: dict[str, int] = {}
         self.events: list[dict] = []
         self.max_events = max_events
+        self._lock = threading.Lock()
 
     # -- instruments ---------------------------------------------------
 
     def count(self, tag: str, n: int = 1) -> None:
         """Add ``n`` to the counter ``tag``."""
-        c = self.counters
-        c[tag] = c.get(tag, 0) + n
+        with self._lock:
+            c = self.counters
+            c[tag] = c.get(tag, 0) + n
 
     def observe(self, tag: str, ns: int) -> None:
         """Record one span observation of ``ns`` nanoseconds."""
-        s = self.spans.get(tag)
-        if s is None:
-            self.spans[tag] = SpanStat(1, ns, ns, ns)
-        else:
-            self.spans[tag] = SpanStat(
-                s.count + 1, s.total_ns + ns,
-                ns if ns < s.min_ns else s.min_ns,
-                ns if ns > s.max_ns else s.max_ns)
+        with self._lock:
+            s = self.spans.get(tag)
+            if s is None:
+                self.spans[tag] = SpanStat(1, ns, ns, ns)
+            else:
+                self.spans[tag] = SpanStat(
+                    s.count + 1, s.total_ns + ns,
+                    ns if ns < s.min_ns else s.min_ns,
+                    ns if ns > s.max_ns else s.max_ns)
 
     def gauge(self, tag: str, value: int) -> None:
         """Raise the high-water gauge ``tag`` to at least ``value``."""
-        g = self.gauges.get(tag)
-        if g is None or value > g:
-            self.gauges[tag] = value
+        with self._lock:
+            g = self.gauges.get(tag)
+            if g is None or value > g:
+                self.gauges[tag] = value
 
     def event(self, tag: str, **fields) -> None:
         """Record one structured trace event (JSON-serializable fields).
@@ -86,19 +94,19 @@ class Telemetry:
         Events beyond ``max_events`` are dropped and tallied under
         :data:`DROPPED_TAG` so a truncated trace is always visible.
         """
-        if len(self.events) >= self.max_events:
-            self.count(DROPPED_TAG)
-            return
-        ev = {"tag": tag}
-        ev.update(fields)
-        self.events.append(ev)
+        with self._lock:
+            if len(self.events) < self.max_events:
+                self.events.append({"tag": tag, **fields})
+                return
+        self.count(DROPPED_TAG)
 
     # -- snapshots ------------------------------------------------------
 
     def snapshot(self, label: str = "") -> Snapshot:
         """Freeze the current state into an immutable snapshot."""
-        return Snapshot.build(self.counters, self.spans, self.gauges,
-                              self.events, label)
+        with self._lock:
+            return Snapshot.build(self.counters, self.spans, self.gauges,
+                                  self.events, label)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +174,9 @@ def collecting(telemetry: "Telemetry | None" = None,
                ) -> Iterator[Telemetry]:
     """Arm telemetry collection for the duration of the context.
 
-    Process-global and non-reentrant, mirroring
-    :func:`repro.probes.armed`; pass an existing :class:`Telemetry` to
-    accumulate several regions into one collector.
+    Process-wide, so work handed to other threads (the server's
+    executor pool) counts here too, and non-reentrant; pass an existing
+    :class:`Telemetry` to accumulate several regions into one collector.
     """
     global ACTIVE
     if ACTIVE is not None:

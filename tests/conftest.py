@@ -41,42 +41,43 @@ def isolate_process_state(tmp_path, monkeypatch):
     * the conformance :class:`ResultCache` default directory -- a shared
       on-disk cache made sweep results bleed between tests (and between
       whole pytest runs);
-    * the ``repro.probes`` / ``repro.telemetry`` / ``repro.guard`` arming
-      globals -- a test failing mid-``collecting`` region would leave
-      instrumentation armed for the rest of the session.  The guard's
-      checker state is per thread, but its global is set while *any*
-      thread holds a region, so the check sees an arm left by any
-      thread.
+    * the three arm switches -- ``repro.probes.ARMED``,
+      ``repro.guard.residue.ACTIVE`` and ``repro.telemetry.core.ACTIVE``
+      -- a test failing mid-region would leave instrumentation armed for
+      the rest of the session.  Probes and the guard arm per thread
+      through a :class:`repro.probes.ThreadSwitch`, whose flag is set
+      while *any* thread holds a region, so the check sees an arm left
+      by any thread.
 
     Each test now starts cold: hw memos cleared (re-warm is
     sub-millisecond), the cache dir pointed into ``tmp_path``, and the
-    arming globals verified clean before *and* after.  A test that leaks
-    an armed collector fails itself rather than corrupting its
-    successors.
+    arm switches checked and reset before *and* after, in one loop.  A
+    test that leaks an armed switch fails itself rather than corrupting
+    its successors.
     """
     from repro import probes
     from repro.batch.memo import clear_hw_caches
     from repro.guard import residue as _gd_core
-    from repro.telemetry import core as _tm_core
 
     clear_hw_caches()
     monkeypatch.setenv("REPRO_CONFORMANCE_CACHE",
                        str(tmp_path / "conformance-cache"))
-    assert probes.ARMED is None, "previous test leaked armed probes"
-    assert _tm_core.ACTIVE is None, "previous test leaked telemetry"
-    assert _gd_core.ACTIVE is None, "previous test leaked an armed guard"
+    switches = {"armed probes": probes.SWITCH.reset,
+                "an armed residue guard": _gd_core.SWITCH.reset,
+                "an active telemetry collector": _reset_telemetry}
+    leaked = [what for what, reset in switches.items() if reset()]
+    assert not leaked, f"previous test leaked {', '.join(leaked)}"
     yield
-    leaked_probes = probes.ARMED is not None
-    leaked_tm = _tm_core.ACTIVE is not None
-    leaked_gd = _gd_core.ACTIVE is not None
-    probes.ARMED = None
-    _tm_core.ACTIVE = None
-    _gd_core.ACTIVE = None
-    _gd_core._OPEN.clear()
-    _gd_core._ARM.state = None
-    assert not leaked_probes, "test leaked armed probes"
-    assert not leaked_tm, "test leaked an active telemetry collector"
-    assert not leaked_gd, "test leaked an armed residue guard"
+    leaked = [what for what, reset in switches.items() if reset()]
+    assert not leaked, f"test leaked {', '.join(leaked)}"
+
+
+def _reset_telemetry() -> bool:
+    """Disarm the process-wide collector; True if one was armed."""
+    from repro.telemetry import core
+
+    armed, core.ACTIVE = core.ACTIVE is not None, None
+    return armed
 
 
 def bits_to_float(bits: int) -> float:

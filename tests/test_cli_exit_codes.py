@@ -44,6 +44,7 @@ BAD_VALUES = {
         ["--shard-timeout", "0"],
         ["--retries", "0"],
         ["--repro", "9", "--shards", "4"],
+        ["--backend", "faithful"],          # checks the oracle itself
     ],
     "repro.faults": [
         ["--injections", "0"],
@@ -80,6 +81,7 @@ BAD_VALUES = {
         ["--port", "70000"],
         ["--self-test", "--self-test-requests", "0"],
         ["--isolation", "container"],       # not a choice
+        ["--no-kernels"],                   # that is --backend faithful
     ],
     "repro.analysis": [
         ["--device", "no-such-fpga"],

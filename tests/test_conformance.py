@@ -140,6 +140,19 @@ class TestCache:
         back = run_sweep(**kw)
         assert back["totals"]["cache_hits"] == 2
 
+    def test_backend_feeds_the_key(self, tmp_path, capsys):
+        # a lane-engine sweep must run, not reuse a default sweep's shards
+        argv = ["--shards", "2", "--workers", "1", "--seed", "5",
+                "--cases", "4", "--cache-dir", str(tmp_path / "cache")]
+        out = tmp_path / "vector.json"
+        assert main(argv) == 0
+        assert main(argv + ["--backend", "vector",
+                            "--json-out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["totals"]["cache_hits"] == 0
+        assert report["totals"]["mismatches"] == 0
+        assert report["config"]["backend"] == "vector"
+
     def test_spec_fields_feed_the_key(self):
         base = small_spec()
         assert shard_key(base, "fp") == shard_key(base, "fp")
@@ -287,6 +300,15 @@ class TestCli:
                    "--mutation", "mant-lsb"])
         assert rc == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_faithful_backend_from_env_is_refused(self, monkeypatch,
+                                                  capsys):
+        # the checks would compare the faithful models with themselves
+        monkeypatch.setenv("REPRO_BATCH_BACKEND", "faithful")
+        with pytest.raises(SystemExit) as exc:
+            main(["--shards", "1", "--no-cache"])
+        assert exc.value.code == 2
+        assert "REPRO_BATCH_BACKEND=faithful" in capsys.readouterr().err
 
     def test_list_mutations(self, capsys):
         rc = main(["--list-mutations"])

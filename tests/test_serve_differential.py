@@ -13,9 +13,10 @@ import asyncio
 
 import pytest
 
+from repro.fma.accumulator import PcsAccumulator
 from repro.serve import (FmaServer, LoadSpec, Request, ServeConfig,
                          make_requests, run_open_loop)
-from repro.serve.executor import reference_result
+from repro.serve.executor import execute_payload, reference_result
 
 from _serve_util import chaos_execute, run
 
@@ -78,19 +79,34 @@ class TestBitIdentity:
             assert fwd[rid].result == rev[rid].result
 
     def test_kernels_and_faithful_path_serve_identically(self):
-        """use_batch on/off through the server is invisible in results
-        (extends the repro.batch differential gate to the serving
-        boundary)."""
+        """The kernels and ``backend="faithful"`` serve identical
+        results for fma, dot and acc (extends the repro.batch
+        differential gate to the serving boundary)."""
         spec = LoadSpec(n_requests=80, seed=5, rate_hz=0.0)
+        assert {req.op for _off, req in make_requests(spec)} == \
+            {"fma", "dot", "acc"}
 
-        async def serve_with(use_batch):
-            cfg = open_config(max_batch=16, use_batch=use_batch)
+        async def serve_with(backend):
+            cfg = open_config(max_batch=16, backend=backend)
             async with FmaServer(cfg) as s:
                 report = await run_open_loop(s, spec)
                 return {rid: r.result
                         for rid, r in report.responses.items()}
 
-        assert run(serve_with(True)) == run(serve_with(False))
+        assert run(serve_with(None)) == run(serve_with("faithful"))
+
+    def test_faithful_backend_accumulates_on_the_faithful_model(
+            self, monkeypatch):
+        calls = []
+        accumulate = PcsAccumulator.accumulate
+        monkeypatch.setattr(
+            PcsAccumulator, "accumulate",
+            lambda acc, a, b: calls.append(1) or accumulate(acc, a, b))
+        one = 0x3FF0000000000000
+        payload = {"op": "acc", "fmt": "pcs", "backend": "faithful",
+                   "items": [([one, one], [one, one], None)]}
+        assert execute_payload(payload) == [("ok", 0x4000000000000000)]
+        assert len(calls) == 2
 
 
 class TestConcurrencyFuzz:

@@ -25,7 +25,7 @@ import pytest
 from repro import probes
 from repro.guard.residue import GuardMismatch
 from repro.serve import FmaServer, Request, ServeConfig
-from repro.serve.executor import reference_result
+from repro.serve.executor import execute_payload, reference_result
 from repro.telemetry import collecting
 
 from _serve_util import assert_stats_counted, run
@@ -86,10 +86,18 @@ class TestVerifiedSubmit:
         # upset one window-sum bit on the first guarded execution only;
         # the mod-2^W window congruence flags it, and the re-execution
         # (the fault is transient: Arm fires at one occurrence) must
-        # recompute the exact oracle word
+        # recompute the exact oracle word.  Probes arm per thread, so the
+        # work function arms the one Arm in the executor thread around
+        # every execution
         arm = probes.Arm(lambda v: (v[0] ^ (1 << 100), v[1]), at_call=0)
-        with probes.armed({"batch.window": arm}):
-            resp, stats, _ = submit_one(fma_req(4, verify="residue"))
+
+        def upset_window(payload):
+            with probes.armed({"batch.window": arm}):
+                return execute_payload(payload)
+
+        cfg = ServeConfig(slow_start=False, max_wait_s=0.001,
+                          work_fn=upset_window)
+        resp, stats, _ = submit_one(fma_req(4, verify="residue"), cfg)
         assert arm.hits == 1
         assert resp.ok
         assert resp.meta == {"guard": "corrected"}

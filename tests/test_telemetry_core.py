@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -102,6 +104,29 @@ class TestCollecting:
             snap = t.snapshot()
         assert len(snap.events) == 2
         assert snap.counter(core.DROPPED_TAG) == 3
+
+    def test_threads_sharing_a_collector_lose_no_counts(self):
+        # the server's executor threads count into the collector their
+        # caller armed; a tiny switch interval forces thread switches
+        # inside the counter's read-modify-write
+        n = 100_000
+        t = Telemetry()
+
+        def bump():
+            for _ in range(n):
+                t.count("x")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=bump) for _ in range(2)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert t.snapshot().counter("x") == 2 * n
 
 
 class TestSnapshotMerge:
