@@ -15,7 +15,7 @@ call:
   the ``use_batch=`` switches in ``hls.simulate``/``hls.execute`` and
   ``experiments.fig14``;
 * :class:`FastCSKernel` -- the tuple-based PCS/FCS datapath kernel
-  (compiled Wallace trees, SWAR Carry Reduce, closed-form Zero Detect);
+  (compiled Wallace trees; the window stages of :mod:`.stages`);
 * the integer IEEE kernels (:func:`fp_add_fast` & co.) backing the
   classic/discrete engines;
 * cache management for the memoized hardware lookups

@@ -27,6 +27,7 @@ from ..telemetry import core as _tm
 from .cskernel import CS_ZERO, bit_positions, kernel_for
 from .engines import BACKEND_ENV, BACKENDS
 from .ieee_fast import fp_mul_fast
+from .stages import IntLanes, carry_reduce, csa
 from .vector import count_lanes, vector_kernel_for
 
 __all__ = ["fma_batch", "dot_batch", "accumulate_batch", "select_engine"]
@@ -54,11 +55,7 @@ def select_engine(op: str, unit: CSFmaUnit, size: int,
     """
     if not use_batch:
         return "faithful"
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV) or "auto"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    backend = _requested_backend(backend)
     if unit.strict:
         return "faithful"
     if backend in ("tuple", "faithful"):
@@ -78,6 +75,18 @@ def select_engine(op: str, unit: CSFmaUnit, size: int,
         tm.count("batch.vector.fallback")
         tm.count(f"batch.vector.fallback.{reason}")
     return "tuple"
+
+
+def _requested_backend(backend: str | None) -> str:
+    """The backend a batch call asks for: ``backend``, else
+    :data:`~repro.batch.engines.BACKEND_ENV`, else ``auto``; an unknown
+    name raises ``ValueError``."""
+    if backend is None:
+        backend = os.environ.get(BACKEND_ENV) or "auto"
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    return backend
 
 
 #: the word :func:`_fma_vector` gathers for an operand with no binary64
@@ -225,12 +234,15 @@ def dot_batch(a: Sequence[FPValue], b: Sequence[FPValue],
 
 def accumulate_batch(a: Sequence[FPValue], b: Sequence[FPValue],
                      acc: PcsAccumulator | None = None, *,
-                     use_batch: bool = True) -> PcsAccumulator:
+                     use_batch: bool = True,
+                     backend: str | None = None) -> PcsAccumulator:
     """Accumulate all products ``a[i] * b[i]`` into a [12]-style MAC.
 
     Bit-identical to calling :meth:`PcsAccumulator.accumulate` per pair
     (one singly-rounded binary64 multiply feeding the carry-free window
-    add); returns the accumulator for chaining.
+    add); returns the accumulator for chaining.  ``backend`` is resolved
+    as in :func:`fma_batch`; the MAC has no lane engine, so every backend
+    but ``faithful`` (or ``use_batch=False``) runs the integer path.
     """
     if len(a) != len(b):
         raise ValueError("vector length mismatch")
@@ -239,7 +251,7 @@ def accumulate_batch(a: Sequence[FPValue], b: Sequence[FPValue],
     if _tm.ACTIVE is not None:
         _tm.ACTIVE.count("batch.acc.calls")
         _tm.ACTIVE.count("batch.acc.elements", len(a))
-    if not use_batch:
+    if not use_batch or _requested_backend(backend) == "faithful":
         for ai, bi in zip(a, b):
             acc.accumulate(ai, bi)
         return acc
@@ -247,14 +259,8 @@ def accumulate_batch(a: Sequence[FPValue], b: Sequence[FPValue],
     from ..cs.csnumber import CSNumber
 
     width = acc.width
-    mask = (1 << width) - 1
-    sp = acc.carry_spacing
-    H = 0
-    pos = sp - 1
-    while pos < width:
-        H |= 1 << pos
-        pos += sp
-    notH = ~H & mask
+    lanes = IntLanes(width, acc.carry_spacing)
+    mask = lanes.mask
     lsb = acc.lsb_exp
     state = acc._state
     S, C = state.sum, state.carry
@@ -277,16 +283,10 @@ def accumulate_batch(a: Sequence[FPValue], b: Sequence[FPValue],
                 raise AccumulatorOverflow(
                     f"|x| = 2^{x.biased_exponent - 1023} exceeds the "
                     f"window (max_exp={acc.max_exp})")
-            w = addend & mask
-            # one 3:2 level, then the chunked Carry Reduce as a single
-            # SWAR pass (same identity as the FMA window datapath)
-            t = S ^ C
-            s3 = (t ^ w) & mask
-            c3 = (((S & C) | (t & w)) << 1) & mask
-            z = (s3 & notH) + (c3 & notH)
-            axb = s3 ^ c3
-            S = (z & notH) | ((z ^ axb) & H)
-            C = ((((s3 & c3) | (axb & z)) & H) << 1) & mask
+            # one 3:2 level, then the Carry Reduce: the FMA window's
+            # stages on the accumulator's window
+            s3, c3 = csa(lanes, S, C, addend & mask)
+            S, C = carry_reduce(lanes, s3, c3)
             ops += 1
     finally:
         acc._state = CSNumber(S, C, width)

@@ -11,15 +11,11 @@ faithful path:
 * the multiplier uses compiled straight-line Wallace trees
   (:mod:`repro.batch.trees`) keyed by the popcount of the ``B``
   significand;
-* the Carry Reduce stage runs as a single SWAR expression over the whole
-  window instead of a per-chunk loop;
-* the PCS Zero Detector uses the closed form
-  ``skipped = min(max_skip, (rsb - 1) // block)`` where ``rsb`` is the
-  number of redundant leading sign bits of the collapsed window -- the
-  quantity :func:`repro.cs.zero_detect.count_skippable_blocks` searches
-  for block by block;
-* the FCS leading-zero anticipator is inlined (same Schmookler-style
-  indicator as :func:`repro.cs.lza.lza_estimate`);
+* the window stages -- the 3:2 level, the SWAR Carry Reduce, the
+  closed-form Zero Detector and the block LZA -- are the shared
+  :mod:`repro.batch.stages`, run on :class:`~repro.batch.stages.IntLanes`
+  (one Python int per window); the lane engine runs the same functions
+  on digit planes;
 * results leave as binary64 through :meth:`FastCSKernel.to_ieee`, an
   integer twin of :func:`repro.fma.convert.cs_to_ieee` (no ``CSFloat``,
   no ``Fraction``).
@@ -40,6 +36,7 @@ operand is ``(cls, sign, unbiased_exp, significand)``.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import repeat
 from operator import or_
 from typing import Sequence
 
@@ -53,6 +50,7 @@ from ..fp.value import FpClass, FPValue
 from ..guard import residue as _gd
 from ..telemetry import core as _tm
 from .ieee_fast import round_to_format
+from .stages import IntLanes, carry_reduce, csa, lza_skip, zd_skip
 from .trees import tree_depth, tree_fn
 
 __all__ = ["FastCSKernel", "kernel_for", "bit_positions",
@@ -130,7 +128,9 @@ class FastCSKernel:
         self.selector = selector
         self.use_carry_reduce = use_carry_reduce
         self.W = W = p.window_width
-        self.wmask = (1 << W) - 1
+        #: the window's lane type for the shared stages
+        self.lanes = IntLanes(W, p.carry_spacing)
+        self.wmask = self.lanes.mask
         self.block = p.block
         self.bmask = (1 << p.block) - 1
         self.mw = p.mant_width
@@ -147,16 +147,6 @@ class FastCSKernel:
         self.mcmask = p.mant_carry_mask
         self.rcmask = p.round_carry_mask
         self.emin, self.emax = p.exp_min, p.exp_max
-        # SWAR carry-reduce constants: H marks the top bit of each
-        # carry-spacing chunk.
-        sp = p.carry_spacing
-        H = 0
-        pos = sp - 1
-        while pos < W:
-            H |= 1 << pos
-            pos += sp
-        self.H = H
-        self.notH = ~H & self.wmask
         self.ieee_shift = self.frac - BINARY64.fraction_bits
         # weight of the rounding block's LSB: 2**(exp - lsb_shift)
         self.lsb_shift = self.frac + self.block
@@ -466,9 +456,7 @@ class FastCSKernel:
         if p_nonzero:
             if r1 is not None:
                 if a_nonzero:
-                    t = r0 ^ r1
-                    w_sum = t ^ a_row
-                    w_carry = (((r0 & r1) | (t & a_row)) << 1) & wmask
+                    w_sum, w_carry = csa(self.lanes, r0, r1, a_row)
                 else:
                     w_sum = r0
                     w_carry = r1
@@ -482,18 +470,9 @@ class FastCSKernel:
             w_sum = a_row
             w_carry = 0
 
-        # stage 6: Carry Reduce (PCS) as one SWAR pass: each
-        # carry-spacing chunk adds sum+carry with the chunk's carry-out
-        # re-emitted at the next chunk's LSB.
+        # stage 6: Carry Reduce (PCS)
         if self.use_carry_reduce:
-            A = w_sum
-            B = w_carry
-            H = self.H
-            notH = self.notH
-            z = (A & notH) + (B & notH)
-            axb = A ^ B
-            w_sum = (z & notH) | ((z ^ axb) & H)
-            w_carry = ((((A & B) | (axb & z)) & H) << 1) & wmask
+            w_sum, w_carry = carry_reduce(self.lanes, w_sum, w_carry)
 
         if probes.ARMED is not None:
             # fault-injection probe, armed per thread: the window planes
@@ -511,36 +490,12 @@ class FastCSKernel:
 
         # stage 7: block normalization
         if self.selector == "zd":
-            # closed form of the block Zero Detector: skippable blocks =
-            # redundant leading sign bits, rounded down to whole blocks
-            if value >> (W - 1):
-                inv = value ^ wmask
-                rsb = W if inv == 0 else W - inv.bit_length()
-            else:
-                rsb = W - value.bit_length()
-            skipped = (rsb - 1) // block
-            if skipped > self.max_skip:
-                skipped = self.max_skip
-            elif skipped < 0:
-                skipped = 0
+            skipped = zd_skip(self.lanes, value, block, self.max_skip)
         else:
-            # inline LZA (Schmookler-style indicator, block granular)
             prod_word = (((r0 + r1) & wmask) if r1 is not None else r0) \
                 if p_nonzero else 0
-            aa = a_row
-            t = aa ^ prod_word
-            g = aa & prod_word
-            zz = (aa | prod_word) ^ wmask
-            t_up = t >> 1
-            z_dn = ((zz << 1) | 1) & wmask
-            g_dn = (g << 1) & wmask
-            f = (t_up & ((g & ~z_dn) | (zz & ~g_dn))
-                 | (t_up ^ wmask) & ((zz & ~z_dn) | (g & ~g_dn))) & wmask
-            f &= (1 << (W - 1)) - 1
-            est = W - 1 if f == 0 else W - f.bit_length()
-            skipped = (est - 1) // block if est > 1 else 0
-            if skipped > self.max_skip:
-                skipped = self.max_skip
+            skipped = lza_skip(self.lanes, a_row, prod_word, block,
+                               self.max_skip)
 
         if gd is not None:
             # normalization shadow (same recompute the scalar unit runs;
@@ -548,7 +503,7 @@ class FastCSKernel:
             if self.selector == "zd":
                 shadow = _gd.zd_shadow(value, W, block, self.max_skip)
             else:
-                est_ref = _gd.lza_shadow(aa, prod_word, W)
+                est_ref = _gd.lza_shadow(a_row, prod_word, W)
                 shadow = min(max(est_ref - 1, 0) // block, self.max_skip)
             gd.check_norm(skipped, shadow, self.selector)
 
@@ -580,12 +535,16 @@ class FastCSKernel:
 
     # -- batch entry points ----------------------------------------------
 
-    def dot_tuple(self, a, b) -> tuple:
+    def dot_tuple(self, a, b, prods=None) -> tuple:
         """Fused dot product, accumulator kept as an internal tuple.
 
         Bit-identical to the
         :meth:`repro.fma.dotprod.FusedDotProductUnit.dot` accumulator
-        chain ``acc = fma(acc, a_i, lift(b_i))``.
+        chain ``acc = fma(acc, a_i, lift(b_i))``.  ``prods`` optionally
+        yields each step's :meth:`fma` ``prod`` pair, as
+        :meth:`~repro.batch.vector.VectorCSKernel.dot_hybrid` does with
+        the products it runs vectorized; a step that is not two normal
+        binary64 elements ignores its pair.
         """
         shift = self.ieee_shift
         mmask = self.mmask
@@ -594,7 +553,7 @@ class FastCSKernel:
         lift_b = self.lift_b
         acc = (CS_ZERO, 0, 0, 0, 0, 0, 0)
         one = 1 << 52
-        for ai, bi in zip(a, b):
+        for ai, bi, prod in zip(a, b, prods or repeat(None)):
             if (ai.cls is FpClass.NORMAL and bi.cls is FpClass.NORMAL
                     and ai.fmt is BINARY64 and bi.fmt is BINARY64):
                 m = (bi.fraction | one) << shift
@@ -602,9 +561,9 @@ class FastCSKernel:
                     m = -m
                 ct = (CS_NORMAL, bi.biased_exponent - 1023, m & mmask,
                       0, 0, 0, 0)
-                sig = ai.fraction | one
-                bt = (CS_NORMAL, ai.sign, ai.biased_exponent - 1023, sig)
-                acc = fma(acc, bt, ct, bit_positions(sig))
+                bt = (CS_NORMAL, ai.sign, ai.biased_exponent - 1023,
+                      ai.fraction | one)
+                acc = fma(acc, bt, ct, None, prod)
             else:
                 acc = fma(acc, lift_b(ai), lift_ieee(bi))
         return acc

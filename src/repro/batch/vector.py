@@ -9,7 +9,10 @@ as ``window_blocks`` little-endian digits of ``block`` bits each, one
 ``np.uint64`` per digit (PCS: 7 x 55 bits; FCS: 13 x 29 bits -- in both
 architectures ``block * window_blocks == window_width`` exactly, and the
 PCS carry-spacing chunks divide the digit width, so the SWAR Carry
-Reduce never rips across digits).
+Reduce never rips across digits).  The window stages -- the 3:2 level,
+the Carry Reduce, the Zero Detector and the LZA -- are the functions of
+:mod:`repro.batch.stages` the tuple kernel runs on Python ints: the
+engine is their digit-plane lane type.
 
 Why full-width trees are sound (mask elision, lane-parallel form)
 -----------------------------------------------------------------
@@ -61,10 +64,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..fp.formats import BINARY64
-from ..fp.value import FpClass, word_to_fp
+from ..fp.value import FpClass, fp_to_word, word_to_fp
 from ..telemetry import core as _tm
 from .cskernel import (CS_INF, CS_NAN, CS_NORMAL, CS_ZERO, FastCSKernel,
                        kernel_for)
+from .stages import carry_reduce, csa, lza_skip, zd_skip
 
 __all__ = ["VectorCSKernel", "vector_kernel_for", "clear_vector_cache"]
 
@@ -134,7 +138,9 @@ class VectorCSKernel:
     batch is ``{cls, sign, exp, sig}``.  All integers are ``uint64``
     digits / fields except exponents and classes, which are ``int64``.
     As in :class:`~repro.fp.value.FPValue`, ``exp`` and the digit fields
-    are meaningful for NORMAL lanes only.
+    are meaningful for NORMAL lanes only.  The engine is also the
+    digit-plane lane type of :mod:`repro.batch.stages`, holding its
+    tuple kernel's window constants as digit planes.
     """
 
     def __init__(self, kernel: FastCSKernel):
@@ -143,14 +149,14 @@ class VectorCSKernel:
         self.BB = BB = kernel.block
         self.D = D = p.window_blocks
         self.MD = MD = p.mant_blocks
-        self.W = kernel.W
+        self.width = kernel.W
         if BB * D != kernel.W:
             raise ValueError("window width is not digit-aligned")
         if kernel.use_carry_reduce and BB % p.carry_spacing != 0:
             raise ValueError("carry-spacing chunks straddle digits")
         self.BBu = _U64(BB)
         self.BB1u = _U64(BB - 1)
-        self.DMASK = _U64((1 << BB) - 1)
+        self.mask = _U64((1 << BB) - 1)
         self.frac = kernel.frac
         self.bsig = kernel.bsig
         self.plsb = kernel.plsb
@@ -160,15 +166,16 @@ class VectorCSKernel:
         self.ieee_shift = kernel.ieee_shift
         self.use_carry_reduce = kernel.use_carry_reduce
         self.selector = kernel.selector
-        # per-digit constant planes
-        self.Hd = self._const_digits(kernel.H, D)
-        self.notHd = self._const_digits(kernel.notH, D)
+        # per-digit constant planes (the first four: the lane type's)
+        ints = kernel.lanes
+        self.low, self.one, self.H, self.notH = (
+            self._const_digits(v, D)
+            for v in (ints.low, 1, ints.H, ints.notH))
         self.pmaskd = self._const_digits(kernel.pmask, D)
         self.pextd = self._const_digits(~kernel.pmask & kernel.wmask, D)
         self.mcmaskd = self._const_digits(kernel.mcmask, MD)
         self.nmcmaskd = self._const_digits(~kernel.mcmask & kernel.mmask, MD)
         self.rcmask1 = _U64(kernel.rcmask & kernel.bmask)
-        self.topd = self._const_digits((1 << (self.W - 1)) - 1, D)
         pd, pb = divmod(p.product_width - 1, BB)
         self.psign_digit, self.psign_bit = pd, _U64(pb)
         self.fmask = _U64((1 << 52) - 1)
@@ -179,7 +186,7 @@ class VectorCSKernel:
         self._mdr = np.arange(MD, dtype=np.int64)
         # the stacked trees run on 64-bit *limbs* rather than block-width
         # digits: fewer words per row (FCS: 6 vs 13) and no shl1 masking
-        self.LB = (self.W + 63) // 64
+        self.LB = (self.width + 63) // 64
 
     # -- small digit-array primitives (all little-endian, last axis) ----
 
@@ -188,36 +195,22 @@ class VectorCSKernel:
         return np.array([(x >> (self.BB * i)) & m for i in range(k)],
                         dtype=np.uint64)
 
-    def _shift(self, x, s, fill=None):
-        """``floor(x_ext * 2^s) mod 2^(K*BB)`` with per-lane shift ``s``
-        of either sign; ``fill`` (``(n,)`` of 0/DMASK) extends above the
-        top digit (two's-complement arithmetic right shifts)."""
+    def _shift(self, x, s):
+        """``floor(x * 2^s) mod 2^(K*BB)`` of the two's-complement digit
+        planes ``x`` with per-lane shift ``s`` of either sign (right
+        shifts are arithmetic)."""
         n, K = x.shape
         q = s // self.BB                       # floor division (int64)
         r = (s - q * self.BB).astype(np.uint64)[:, None]
-        z = np.zeros((n, K), np.uint64)
-        hi = z if fill is None else np.broadcast_to(fill[:, None], (n, K))
-        cat = np.concatenate([z, x, hi], axis=1)
+        cat = np.concatenate([np.zeros((n, K), np.uint64), x,
+                              np.broadcast_to(self.fill(x), (n, K))],
+                             axis=1)
         j = np.arange(K, dtype=np.int64)
         idx = np.clip(j[None, :] - q[:, None] + K, 0, 3 * K - 1)
         idx = idx.astype(np.intp)
         lo = np.take_along_axis(cat, idx, axis=1)
         hm = np.take_along_axis(cat, np.maximum(idx - 1, 0), axis=1)
-        return ((lo & (self.DMASK >> r)) << r) | (hm >> (self.BBu - r))
-
-    def _shl1(self, c):
-        out = (c << _ONE) & self.DMASK
-        out[..., 1:] |= c[..., :-1] >> self.BB1u
-        return out
-
-    def _shr1(self, x):
-        out = x >> _ONE
-        out[..., :-1] |= (x[..., 1:] & _ONE) << self.BB1u
-        return out
-
-    def _csa(self, x, y, z):
-        t = x ^ y
-        return t ^ z, self._shl1((x & y) | (t & z))
+        return ((lo & (self.mask >> r)) << r) | (hm >> (self.BBu - r))
 
     def _carry_fix(self, out, c=None, c2=None):
         """Fold digit overflow upward in place until every digit fits
@@ -228,13 +221,13 @@ class VectorCSKernel:
         if c is None:
             c, c2 = np.empty_like(out), np.empty_like(out)
         np.right_shift(out, self.BBu, out=c)
-        np.bitwise_and(out, self.DMASK, out=out)
+        np.bitwise_and(out, self.mask, out=out)
         while c.any():
             c2[:, 0] = 0
             c2[:, 1:] = c[:, :-1]
             np.add(out, c2, out=out)
             np.right_shift(out, self.BBu, out=c)
-            np.bitwise_and(out, self.DMASK, out=out)
+            np.bitwise_and(out, self.mask, out=out)
         return out
 
     def _addf(self, x, y, out=None, c=None, c2=None):
@@ -243,30 +236,44 @@ class VectorCSKernel:
         return self._carry_fix(np.add(x, y, out=out), c, c2)
 
     def _neg(self, x):
-        out = x ^ self.DMASK
+        out = x ^ self.mask
         out[:, 0] += _ONE
         return self._carry_fix(out)
 
-    @staticmethod
-    def _bitlen_digit(d):
-        """Exact bit length of digits ``< 2^56`` (split so the float64
-        conversion in ``frexp`` never rounds)."""
-        hi = d >> np.uint64(28)
-        _, e_hi = np.frexp(hi.astype(np.float64))
-        _, e_lo = np.frexp((d & _M28).astype(np.float64))
-        return np.where(hi > 0, e_hi.astype(np.int64) + 28,
-                        e_lo.astype(np.int64))
+    # -- the lane type of the shared window stages ----------------------
 
-    def _bitlen(self, x):
+    clip = staticmethod(np.clip)
+
+    def shl1(self, c):
+        out = (c << _ONE) & self.mask
+        out[..., 1:] |= c[..., :-1] >> self.BB1u
+        return out
+
+    def shr1(self, x):
+        out = x >> _ONE
+        out[..., :-1] |= (x[..., 1:] & _ONE) << self.BB1u
+        return out
+
+    def fill(self, x):
+        neg = (x[:, -1:] >> self.BB1u).astype(bool)
+        return np.where(neg, self.mask, _U64(0))
+
+    def bitlen(self, x):
         """Bit length of each lane's multi-digit value; 0 for zero.
 
-        ``x`` must be a C-contiguous ``(n, K)`` array."""
+        ``x`` must be a C-contiguous ``(n, K)`` array.  The top nonzero
+        digit (``< 2^56``) is split at bit 28, so its float64 conversion
+        in ``frexp`` never rounds."""
         n, K = x.shape
         nz = x != 0
         top = (K - 1) - np.argmax(nz[:, ::-1], axis=-1)
         d = np.take(x.reshape(-1), top + np.arange(n, dtype=np.int64) * K)
-        return np.where(nz.any(axis=-1),
-                        top * self.BB + self._bitlen_digit(d), 0)
+        hi = d >> np.uint64(28)
+        _, e_hi = np.frexp(hi.astype(np.float64))
+        _, e_lo = np.frexp((d & _M28).astype(np.float64))
+        bits = np.where(hi > 0, e_hi.astype(np.int64) + 28,
+                        e_lo.astype(np.int64))
+        return np.where(nz.any(axis=-1), top * self.BB + bits, 0)
 
     # -- the stacked Wallace trees --------------------------------------
 
@@ -326,7 +333,7 @@ class VectorCSKernel:
             v = x[:, j] >> _U64(r)
             if r and r + self.BB > 64 and j + 1 < self.LB:
                 v = v | (x[:, j + 1] << _U64(64 - r))
-            out[:, k] = v & self.DMASK
+            out[:, k] = v & self.mask
         return out
 
     # -- per-batch-size scratch workspace -------------------------------
@@ -360,16 +367,10 @@ class VectorCSKernel:
                 rowoff3=(np.arange(m, dtype=i64) * (3 * D))[:, None],
                 lo=np.empty((m, D), u64),
                 hm=np.empty((m, D), u64),
-                t1=np.empty((n, D), u64),
-                t2=np.empty((n, D), u64),
-                t3=np.empty((n, D), u64),
-                t4=np.empty((n, D), u64),
                 val=np.empty((n, D), u64),
                 pw=np.empty((n, D), u64),
                 c1=np.empty((n, D), u64),
                 c2=np.empty((n, D), u64),
-                ext=np.empty((n, D), u64),
-                aun=np.empty((n, D), u64),
                 gi=np.empty((n, self.MD + 1), i64),
                 rowoffD=(np.arange(n, dtype=i64) * D)[:, None],
             )
@@ -394,7 +395,7 @@ class VectorCSKernel:
         np.subtract(ws.fidx, 1, out=ws.fidx2)
         np.maximum(ws.fidx2, ws.rowoff3, out=ws.fidx2)
         np.take(ws.catf, ws.fidx2, out=ws.hm)
-        np.right_shift(self.DMASK, ws.ru, out=ws.m1)
+        np.right_shift(self.mask, ws.ru, out=ws.m1)
         np.subtract(self.BBu, ws.ru, out=ws.m2)
         np.bitwise_and(ws.lo, ws.m1, out=ws.lo)
         np.left_shift(ws.lo, ws.ru, out=ws.lo)
@@ -525,12 +526,11 @@ class VectorCSKernel:
         v = self._addf(cols["m"], cols["mc"])
         used = np.empty((n, self.D), np.uint64)
         used[:, :MD] = v
-        used[:, MD:] = np.where((v[:, MD - 1] >> self.BB1u).astype(bool),
-                                self.DMASK, _U64(0))[:, None]
-        used[:, 0] += ((cols["rs"] + cols["rc"]) & self.DMASK) >> self.BB1u
+        used[:, MD:] = self.fill(v)
+        used[:, 0] += ((cols["rs"] + cols["rc"]) & self.mask) >> self.BB1u
         self._carry_fix(used)
         normal = cols["cls"] == CS_NORMAL
-        used &= np.where(normal, self.DMASK, _U64(0))[:, None]
+        used &= np.where(normal, self.mask, _U64(0))[:, None]
         return used, normal & (used != 0).any(axis=1)
 
     # -- stages 2-8 of the datapath (shared by fma_lanes / dot chain) ---
@@ -554,12 +554,10 @@ class VectorCSKernel:
                       aw)
         p_pos = u - w0
         # one fused digit shift: product sum, product carry, addend row
-        a_neg = (au[:, D - 1] >> self.BB1u).astype(bool)
-        afill = np.where(a_neg, self.DMASK, _U64(0))
         ws.cat[:n, D:2 * D] = S
         ws.cat[n:2 * n, D:2 * D] = C
         ws.cat[2 * n:, D:2 * D] = au
-        ws.cat[2 * n:, 2 * D:] = afill[:, None]
+        ws.cat[2 * n:, 2 * D:] = self.fill(au)
         sp = np.maximum(p_pos, 0)
         ws.s3[:n] = sp
         ws.s3[n:2 * n] = sp
@@ -575,12 +573,11 @@ class VectorCSKernel:
             negb = ((pv[:, self.psign_digit] >> self.psign_bit)
                     & _ONE).astype(bool)
             pv |= np.where(negb[:, None], self.pextd, _U64(0))
-            fill = np.where(negb, self.DMASK, _U64(0))
-            r0[bi] = self._shift(pv, p_pos[bi], fill)
+            r0[bi] = self._shift(pv, p_pos[bi])
             r1[bi] = 0
-        a_row &= np.where(a_nz, self.DMASK, _U64(0))[:, None]
+        a_row &= np.where(a_nz, self.mask, _U64(0))[:, None]
         # 3:2 over at most three rows, then row-count-dependent wiring
-        s3, c3 = self._csa(r0, r1, a_row)
+        s3, c3 = csa(self, r0, r1, a_row)
         need3 = (has_r1 & a_nz)[:, None]
         w_sum = np.where(need3, s3, np.where(p_nz[:, None], r0, a_row))
         w_carry = np.where(
@@ -588,48 +585,16 @@ class VectorCSKernel:
             np.where(has_r1[:, None], r1,
                      np.where((p_nz & a_nz)[:, None], a_row, _U64(0))))
         if self.use_carry_reduce:
-            A, B = w_sum, w_carry
-            np.bitwise_and(A, self.notHd, out=ws.t1)
-            np.bitwise_and(B, self.notHd, out=ws.t2)
-            z = np.add(ws.t1, ws.t2, out=ws.t1)
-            axb = np.bitwise_xor(A, B, out=ws.t2)
-            g = np.bitwise_and(A, B, out=ws.t3)
-            np.bitwise_and(axb, z, out=ws.t4)
-            np.bitwise_or(g, ws.t4, out=ws.t4)
-            np.bitwise_and(ws.t4, self.Hd, out=ws.t4)
-            np.left_shift(ws.t4, _ONE, out=ws.t3)
-            np.bitwise_and(ws.t3, self.DMASK, out=ws.t3)
-            ws.t3[:, 1:] |= ws.t4[:, :-1] >> self.BB1u
-            w_carry = ws.t3
-            np.bitwise_xor(z, axb, out=ws.t2)
-            np.bitwise_and(ws.t2, self.Hd, out=ws.t2)
-            np.bitwise_and(z, self.notHd, out=ws.t1)
-            w_sum = np.bitwise_or(ws.t1, ws.t2, out=ws.t1)
+            w_sum, w_carry = carry_reduce(self, w_sum, w_carry)
         value = self._addf(w_sum, w_carry, ws.val, ws.c1, ws.c2)
         value_any = (value != 0).any(axis=1)
         vneg = (value[:, D - 1] >> self.BB1u).astype(bool)
         if self.selector == "zd":
-            x = np.where(vneg[:, None], value ^ self.DMASK, value)
-            rsb = self.W - self._bitlen(x)
-            skipped = np.clip((rsb - 1) // BB, 0, self.max_skip)
+            skipped = zd_skip(self, value, BB, self.max_skip)
         else:
             pw = self._addf(r0, r1, ws.pw, ws.c1, ws.c2)
             prod_word = np.where(has_r1[:, None], pw, r0)
-            aa = a_row
-            t = aa ^ prod_word
-            g = aa & prod_word
-            zz = (aa | prod_word) ^ self.DMASK
-            t_up = self._shr1(t)
-            z_dn = self._shl1(zz)
-            z_dn[:, 0] |= _ONE
-            g_dn = self._shl1(g)
-            f = (t_up & ((g & ~z_dn) | (zz & ~g_dn))
-                 | (t_up ^ self.DMASK) & ((zz & ~z_dn) | (g & ~g_dn)))
-            f &= self.topd
-            bl = self._bitlen(f)
-            est = np.where(bl == 0, self.W - 1, self.W - bl)
-            skipped = np.where(est > 1, (est - 1) // BB, 0)
-            skipped = np.minimum(skipped, self.max_skip)
+            skipped = lza_skip(self, a_row, prod_word, BB, self.max_skip)
         j_lo = (D - 1 - skipped) - (MD - 1)
         gi = ws.gi
         gi[:, 0] = np.maximum(j_lo - 1, 0)
@@ -727,46 +692,58 @@ class VectorCSKernel:
         In the dot chain the multiplicand is the exact lift of ``b_i``
         (its rounding block is zero, so the deferred decision is zero)
         and the multiplier significand is ``a_i`` -- both independent of
-        the accumulator, which is what makes the products batchable."""
+        the accumulator, which is what makes the products batchable.
+        Every normal ``b_i`` is lifted, as the faithful dot lifts it,
+        and a zero ``a_i`` gives a zero product."""
         T, N = asig.shape
-        flat_p = ((asig != 0) & (bsig != 0)).ravel()
         S = np.zeros((T * N, self.D), np.uint64)
         C = np.zeros((T * N, self.D), np.uint64)
-        idx = np.flatnonzero(flat_p)
+        idx = np.flatnonzero(bsig)
         # chunked so each slice's staging + tree working set stays
         # L3-resident (at millions of products the gathers/scatters
         # otherwise stream from DRAM)
         CH = 128 * self.TILE
         for a0 in range(0, idx.size, CH):
             sl = idx[a0:a0 + CH]
-            bs = bsig.ravel()[sl]
-            # mag = bs << ieee_shift with a *constant* shift: each digit
-            # is a fixed-shift slice of the 53-bit significand
-            mag = np.zeros((sl.size, self.D), np.uint64)
-            for j in range(self.D):
-                sh = self.BB * j - self.ieee_shift
-                if -self.BB < sh < 53:
-                    v = bs >> _U64(sh) if sh >= 0 else bs << _U64(-sh)
-                    mag[:, j] = v & self.DMASK
-            neg = ((asign.ravel()[sl] ^ bsign.ravel()[sl])
-                   .astype(bool))
-            cv = np.where(neg[:, None], self._neg(mag), mag)
+            neg = (asign.ravel()[sl] ^ bsign.ravel()[sl]).astype(bool)
+            cv = self._lift_sig(bsig.ravel()[sl], neg, self.D)
             S[sl], C[sl] = self.products(cv, asig.ravel()[sl])
         return (S.reshape(T, N, self.D), C.reshape(T, N, self.D),
-                flat_p.reshape(T, N))
+                (asig != 0) & (bsig != 0))
+
+    def _lift_sig(self, sig, neg, K):
+        """``(n, K)`` digits of ``+-(sig << ieee_shift)`` modulo
+        ``2**(K * block)``, negative where ``neg``: the exact lift of
+        binary64 significands (:meth:`FastCSKernel.lift_ieee`'s mantissa
+        at ``K = mant_blocks``, the dot multiplicand at ``K =
+        window_blocks``).  Like :meth:`CSFloat.from_ieee
+        <repro.fma.formats.CSFloat.from_ieee>`, it refuses a nonzero
+        significand wider than the geometry's fraction."""
+        if self.ieee_shift < 0 and sig.any():
+            raise ValueError("binary64 significand too wide for "
+                             f"{self.kernel.params.name} operand")
+        # a *constant* shift: each digit is a fixed slice of the 53-bit
+        # significand
+        mag = np.zeros((sig.shape[0], K), np.uint64)
+        for j in range(K):
+            sh = self.BB * j - self.ieee_shift
+            if -self.BB < sh < 53:
+                v = sig >> _U64(sh) if sh >= 0 else sig << _U64(-sh)
+                mag[:, j] = v & self.mask
+        return np.where(neg[:, None], self._neg(mag), mag)
 
     def _word_planes(self, w, live):
-        """Classify one ``(T, N)`` word plane: ``(sig, sign, exp,
-        special)`` with subnormals flushed to signed zero (the loader
-        semantics of :func:`repro.fp.word_to_fp`)."""
+        """Classify a plane of binary64 words: ``(sig, sign, exp,
+        special)``, with ``sig``/``exp`` zero off the normal ``live``
+        words -- subnormals flush to signed zero, the loader semantics
+        of :func:`repro.fp.word_to_fp` -- and ``sign`` the raw sign
+        bit."""
         be = (w >> _U64(52)) & _U64(0x7FF)
         nrm = (be != 0) & (be != _U64(0x7FF)) & live
         spec = (be == _U64(0x7FF)) & live
-        z = _U64(0)
-        sig = np.where(nrm, (w & self.fmask) | _U64(1 << 52), z)
-        sign = np.where(nrm, w >> _U64(63), z)
+        sig = np.where(nrm, (w & self.fmask) | _U64(1 << 52), _U64(0))
         exp = np.where(nrm, be.astype(np.int64) - 1023, 0)
-        return sig, sign, exp, spec
+        return sig, w >> _U64(63), exp, spec
 
     def dot_many_words(self, a_words, b_words, lens=None):
         """Independent fused dot products over padded ``(T, N)`` binary64
@@ -848,59 +825,23 @@ class VectorCSKernel:
 
     def dot_hybrid(self, a, b):
         """One fused dot product: the products (the dominant cost of the
-        tuple chain) run vectorized across all steps; the ~35-op window
-        recurrence stays scalar via product injection into
-        :meth:`FastCSKernel.fma`.  Bit-identical to ``dot_tuple``, which
-        runs dots holding NaN/Inf or non-binary64 elements instead."""
+        tuple chain) run vectorized across all steps, and
+        :meth:`FastCSKernel.dot_tuple` runs the ~35-op window recurrence
+        with each step's product pair injected.  Bit-identical to
+        ``dot_tuple`` alone, which runs dots holding NaN/Inf or
+        non-binary64 elements instead."""
         kernel = self.kernel
         ok = (FpClass.NORMAL, FpClass.ZERO)
         if not a or any(x.fmt is not BINARY64 or x.cls not in ok
                         for x in (*a, *b)):
             return kernel.dot_tuple(a, b)
-        one = 1 << 52
-
-        def planes(xs):
-            sig = [x.fraction | one if x.cls is FpClass.NORMAL else 0
-                   for x in xs]
-            return (np.array(sig, np.uint64)[:, None],
-                    np.array([x.sign for x in xs], np.uint64)[:, None])
-
-        S_all, C_all, p_all = self._dot_products(*planes(a), *planes(b))
-        T = len(a)
-        BB = self.BB
-        D = self.D
-        fma = kernel.fma
-        acc = (CS_ZERO, 0, 0, 0, 0, 0, 0)
-        mmask = kernel.mmask
-        shift = kernel.ieee_shift
-        # one wholesale ndarray -> Python-int conversion (tolist) beats
-        # T*D np-scalar ``int()`` calls by a wide margin
-        S_rows = S_all[:, 0, :].tolist()
-        C_rows = C_all[:, 0, :].tolist()
-        p_rows = p_all[:, 0].tolist()
-        for t in range(T):
-            ai, bi = a[t], b[t]
-            if not p_rows[t]:
-                # zero product: no tree to inject, the scalar branch is
-                # already product-free
-                acc = fma(acc, kernel.lift_b(ai), kernel.lift_ieee(bi))
-                continue
-            m = (bi.fraction | one) << shift
-            if bi.sign:
-                m = -m
-            ct = (CS_NORMAL, bi.biased_exponent - 1023, m & mmask,
-                  0, 0, 0, 0)
-            bt = (CS_NORMAL, ai.sign, ai.biased_exponent - 1023,
-                  ai.fraction | one)
-            Sv = 0
-            Cv = 0
-            sr = S_rows[t]
-            cr = C_rows[t]
-            for j in range(D - 1, -1, -1):
-                Sv = (Sv << BB) | sr[j]
-                Cv = (Cv << BB) | cr[j]
-            acc = fma(acc, bt, ct, None, (Sv, Cv))
-        return acc
+        words = (np.array([fp_to_word(x) for x in xs], np.uint64)[:, None]
+                 for xs in (a, b))
+        (asig, asign, _, _), (bsig, bsign, _, _) = (
+            self._word_planes(w, True) for w in words)
+        S, C, _p = self._dot_products(asig, asign, bsig, bsign)
+        return kernel.dot_tuple(a, b, zip(self._digits_to_ints(S[:, 0]),
+                                          self._digits_to_ints(C[:, 0])))
 
     # -- vectorized IEEE word codecs ------------------------------------
 
@@ -909,33 +850,19 @@ class VectorCSKernel:
 
         Bit-identical to ``word_to_fp`` + ``lift_ieee``/``lift_b``:
         subnormal encodings flush to signed zero, the CS lift of a
-        normal is exact."""
+        normal is exact.  On a geometry narrower than binary64, a
+        normal word raises :meth:`_lift_sig`'s ``ValueError``."""
         words = np.asarray(words, np.uint64)
         n = words.shape[0]
-        sign = (words >> np.uint64(63)) & _ONE
-        be = ((words >> np.uint64(52)) & _U64(0x7FF)).astype(np.int64)
-        frac = words & self.fmask
-        is_nan = (be == 0x7FF) & (frac != 0)
-        is_inf = (be == 0x7FF) & (frac == 0)
-        is_zero = be == 0                     # incl. flushed subnormals
-        normal = ~is_nan & ~is_inf & ~is_zero
-        sig = np.where(normal, frac | (_ONE << np.uint64(52)), _U64(0))
-        exp = np.where(normal, be - 1023, 0)
-        cls = np.where(normal, CS_NORMAL,
-                       np.where(is_nan, CS_NAN,
-                                np.where(is_inf, CS_INF, CS_ZERO)))
-        # exact CS lift: m = +-(sig << ieee_shift) mod 2^mant_width
-        mag = np.zeros((n, self.MD), np.uint64)
-        for j in range(self.MD):
-            sh = self.BB * j
-            if sh < 64:
-                mag[:, j] = (sig >> _U64(sh)) & self.DMASK
-        mag = self._shift(mag, np.full(n, self.ieee_shift, np.int64))
-        m = np.where((sign == 1)[:, None], self._neg(mag), mag)
-        m &= np.where(normal, self.DMASK, _U64(0))[:, None]
-        zdig = np.zeros((n, self.MD), np.uint64)
+        sig, sign, exp, special = self._word_planes(words, True)
+        nan = special & ((words & self.fmask) != 0)
+        cls = np.where(sig != 0, CS_NORMAL,
+                       np.where(special, np.where(nan, CS_NAN, CS_INF),
+                                CS_ZERO))
         zlane = np.zeros(n, np.uint64)
-        cs = {"cls": cls, "exp": exp, "m": m, "mc": zdig, "rs": zlane,
+        cs = {"cls": cls, "exp": exp,
+              "m": self._lift_sig(sig, sign == 1, self.MD),
+              "mc": np.zeros((n, self.MD), np.uint64), "rs": zlane,
               "rc": zlane.copy(), "sh": sign.astype(np.int64)}
         bcols = {"cls": cls, "sign": sign, "exp": exp, "sig": sig}
-        return cs, bcols, (is_nan | is_inf)
+        return cs, bcols, special

@@ -34,7 +34,11 @@ __all__ = [
     "describe_ieee",
     "describe_cs",
     "check_case",
+    "CRASHED",
 ]
+
+#: the ``got`` of a mismatch whose check raised instead of returning
+CRASHED = "<exception>"
 
 _UNIT_CACHE: dict[str, CSFmaUnit] = {}
 
@@ -194,6 +198,6 @@ def check_case(case: Case, units: tuple[str, ...],
             out.extend(fn(case, unit_name, backend))
         except Exception:
             out.append(_mismatch(
-                case, unit_name, "<exception>", "<result>",
+                case, unit_name, CRASHED, "<result>",
                 traceback.format_exc(limit=4)))
     return out

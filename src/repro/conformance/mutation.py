@@ -2,25 +2,27 @@
 
 A differential harness that never fires is indistinguishable from one
 that cannot fire.  This module injects *known single-bit faults* into
-the fast CS kernel (:class:`repro.batch.cskernel.FastCSKernel`) and the
-runner then asserts the sweep reports mismatches.  If a registered fault
-survives a sweep undetected, the harness -- not the datapath -- is
-broken.
+the fast CS datapath (:class:`repro.batch.cskernel.FastCSKernel` and the
+window stages of :mod:`repro.batch.stages`) and the runner then asserts
+the sweep reports wrong results.  If a registered fault survives a sweep
+undetected, the harness -- not the datapath -- is broken.
 
-Faults are applied by monkey-patching the kernel class inside a context
-manager (the worker applies it per shard and always restores, because
-pool processes are reused).  The kernel memo table is cleared on both
-entry and exit so no pre-built clean kernel leaks into a mutated run or
-vice versa.
+Faults are applied by monkey-patching a class inside a context manager
+(the worker applies it per shard and always restores, because pool
+processes are reused).  The kernel memo table is cleared on both entry
+and exit so no pre-built clean kernel leaks into a mutated run or vice
+versa.
 
 Registered faults
 -----------------
 ``carry-chunk-boundary``
-    Flips the mid-window marker bit of the SWAR Carry Reduce constant
-    ``H`` (and recomputes ``notH``): two adjacent 11-bit chunks in the
-    product region merge, so their chunk carry propagates instead of
-    being re-emitted as an explicit carry bit.  PCS only -- the FCS
-    unit has no Carry Reduce stage, exactly like the hardware.
+    Flips the mid-window marker bit of the Carry Reduce constant ``H``
+    of :class:`~repro.batch.stages.IntLanes` (and recomputes ``notH``):
+    two adjacent 11-bit chunks in the product region merge, so their
+    chunk carry propagates instead of being re-emitted as an explicit
+    carry bit.  The lane engine splits the tuple kernel's constants into
+    digits, so both engines run the mutated Carry Reduce.  PCS only --
+    the FCS unit has no Carry Reduce stage, exactly like the hardware.
 ``mant-lsb``
     XORs bit 0 into the mantissa sum word of every normal result -- a
     stuck-at fault on the result bus, the loudest possible mutant.
@@ -36,62 +38,59 @@ from typing import Iterator
 
 from ..batch import cskernel
 from ..batch.cskernel import CS_NORMAL, FastCSKernel
+from ..batch.stages import IntLanes
 
 __all__ = ["MUTATIONS", "injected", "mutation_units"]
 
 
-def _patch_carry_chunk(cls) -> dict:
-    orig_init = cls.__init__
+def _patch_carry_chunk() -> dict:
+    orig_init = IntLanes.__init__
 
-    def init(self, params, selector, use_carry_reduce):
-        orig_init(self, params, selector, use_carry_reduce)
-        if self.H:
-            # the marker nearest mid-window: inside the product span,
-            # where chunk carries are actually generated (the lowest
-            # chunks sit below the product anchor and stay silent)
-            sp = params.carry_spacing
-            pos = sp - 1 + sp * ((self.W // 2) // sp)
-            bit = 1 << pos
-            if not self.H & bit:
-                bit = self.H & -self.H
-            self.H ^= bit
-            self.notH = ~self.H & self.wmask
+    def init(self, width, spacing):
+        orig_init(self, width, spacing)
+        # the marker nearest mid-window: inside the product span, where
+        # chunk carries are actually generated (the lowest chunks sit
+        # below the product anchor and stay silent)
+        bit = 1 << (spacing - 1 + spacing * ((width // 2) // spacing))
+        if not self.H & bit:
+            bit = self.H & -self.H
+        self.H ^= bit
+        self.notH = self.H ^ self.mask
 
-    cls.__init__ = init
-    return {"__init__": orig_init}
+    IntLanes.__init__ = init
+    return {(IntLanes, "__init__"): orig_init}
 
 
-def _patch_mant_lsb(cls) -> dict:
-    orig_fma = cls.fma
+def _wrap_fma(edit) -> dict:
+    """Pass every result of :meth:`FastCSKernel.fma` through ``edit``,
+    whatever arguments the caller passes."""
+    orig_fma = FastCSKernel.fma
 
-    def fma(self, a, b, c, pos=None):
-        r = orig_fma(self, a, b, c, pos)
-        if r[0] == CS_NORMAL:
-            return (r[0], r[1], r[2] ^ 1, r[3], r[4], r[5], r[6])
-        return r
+    def fma(self, *args, **kwargs):
+        return edit(orig_fma(self, *args, **kwargs))
 
-    cls.fma = fma
-    return {"fma": orig_fma}
-
-
-def _patch_round_drop(cls) -> dict:
-    orig_fma = cls.fma
-
-    def fma(self, a, b, c, pos=None):
-        r = orig_fma(self, a, b, c, pos)
-        if r[0] == CS_NORMAL and r[5]:
-            return (r[0], r[1], r[2], r[3], r[4], 0, r[6])
-        return r
-
-    cls.fma = fma
-    return {"fma": orig_fma}
+    FastCSKernel.fma = fma
+    return {(FastCSKernel, "fma"): orig_fma}
 
 
-#: name -> (patch function, units the fault is observable on)
+def _mant_lsb(r: tuple) -> tuple:
+    if r[0] == CS_NORMAL:
+        return (r[0], r[1], r[2] ^ 1, r[3], r[4], r[5], r[6])
+    return r
+
+
+def _round_drop(r: tuple) -> tuple:
+    if r[0] == CS_NORMAL and r[5]:
+        return (r[0], r[1], r[2], r[3], r[4], 0, r[6])
+    return r
+
+
+#: name -> (patch function, units the fault is observable on); a patch
+#: returns ``{(owner, attribute): original}`` for the restore
 MUTATIONS = {
     "carry-chunk-boundary": (_patch_carry_chunk, ("pcs",)),
-    "mant-lsb": (_patch_mant_lsb, ("pcs", "fcs")),
-    "round-data-drop": (_patch_round_drop, ("pcs", "fcs")),
+    "mant-lsb": (lambda: _wrap_fma(_mant_lsb), ("pcs", "fcs")),
+    "round-data-drop": (lambda: _wrap_fma(_round_drop), ("pcs", "fcs")),
 }
 
 
@@ -102,7 +101,7 @@ def mutation_units(name: str) -> tuple[str, ...]:
 
 @contextlib.contextmanager
 def injected(name: str) -> Iterator[None]:
-    """Apply one registered fault to the fast kernel for the duration.
+    """Apply one registered fault to the fast datapath for the duration.
 
     Clears the process-wide kernel memo on entry *and* exit so clean and
     mutated kernels never mix; restores the patched attributes even when
@@ -116,11 +115,11 @@ def injected(name: str) -> Iterator[None]:
             f"{sorted(MUTATIONS)}") from None
     saved_kernels = dict(cskernel._KERNELS)
     cskernel._KERNELS.clear()
-    originals = patch(FastCSKernel)
+    originals = patch()
     try:
         yield
     finally:
-        for attr, value in originals.items():
-            setattr(FastCSKernel, attr, value)
+        for (owner, attr), value in originals.items():
+            setattr(owner, attr, value)
         cskernel._KERNELS.clear()
         cskernel._KERNELS.update(saved_kernels)

@@ -30,7 +30,7 @@ from ..faults.resilient import RetryPolicy, run_resilient
 from ..telemetry import core as _tm
 from . import mutation as mutation_mod
 from .cache import ResultCache, code_fingerprint, default_cache_dir, shard_key
-from .checks import check_case
+from .checks import CRASHED, check_case
 from .shrink import shrink_stream, shrink_triple
 from .workunits import (BACKENDS, FAMILIES, UNITS, Case, ShardSpec,
                         case_digest, generate_cases)
@@ -287,8 +287,11 @@ def run_mutation_check(mutations: "list[str] | None" = None, *,
     """Inject each fault and assert the sweep catches it.
 
     Runs one clean baseline (must be mismatch-free) plus one mutated
-    sweep per fault (each must report at least one mismatch).  Returns
-    a report whose ``ok`` field is the smoke-check verdict.
+    sweep per fault.  A fault counts as detected only when at least one
+    mismatch is a wrong result: a check that crashed (``got`` is
+    :data:`~repro.conformance.checks.CRASHED`) cannot tell a caught
+    fault from a patch that no longer fits the code.  Returns a report
+    whose ``ok`` field is the smoke-check verdict.
     """
     names = list(mutations) if mutations else sorted(mutation_mod.MUTATIONS)
     clean = run_sweep(shards=shards, workers=workers, seed=seed,
@@ -303,16 +306,17 @@ def run_mutation_check(mutations: "list[str] | None" = None, *,
         swept = run_sweep(shards=shards, workers=workers, seed=seed,
                           cases=cases, mutation=name, shrink=False,
                           backend=backend)
-        found = swept["totals"]["mismatches"]
+        wrong = sum(m["got"] != CRASHED for m in swept["mismatches"])
         report["mutants"][name] = {
             "units": list(mutation_mod.mutation_units(name)),
-            "mismatches": found,
-            "detected": found > 0,
+            "mismatches": swept["totals"]["mismatches"],
+            "wrong_results": wrong,
+            "detected": wrong > 0,
         }
         if _tm.ACTIVE is not None:
-            _tm.ACTIVE.count("conformance.mutants.detected" if found
+            _tm.ACTIVE.count("conformance.mutants.detected" if wrong
                              else "conformance.mutants.missed")
-        ok = ok and found > 0
+        ok = ok and wrong > 0
     report["ok"] = ok
     return report
 
@@ -370,7 +374,8 @@ def _format_mutation_report(report: dict) -> str:
     for name, r in report["mutants"].items():
         verdict = "DETECTED" if r["detected"] else "MISSED"
         rows.append(f"mutant {name:<22} [{','.join(r['units'])}] "
-                    f"{r['mismatches']:>4} mismatches  -> {verdict}")
+                    f"{r['mismatches']:>4} mismatches, "
+                    f"{r['wrong_results']:>4} wrong results  -> {verdict}")
     rows.append("smoke-check: " + ("OK" if report["ok"] else "FAILED"))
     return "\n".join(rows)
 

@@ -134,7 +134,7 @@ def _exec_acc(items, backend: str | None) -> list:
         a = [word_to_fp(w) for w in aw]
         b = [word_to_fp(w) for w in bw]
         try:
-            acc = accumulate_batch(a, b, use_batch=backend != "faithful")
+            acc = accumulate_batch(a, b, backend=backend)
             out.append(("ok", fp_to_word(acc.result())))
         except ArithmeticError as exc:
             out.append(("error", "exception",

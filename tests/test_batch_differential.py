@@ -24,6 +24,7 @@ from repro.batch import (FastCSFmaEngine, accelerate_engine,
                          dot_batch, fma_batch, fp_add_fast, fp_fma_fast,
                          fp_mul_fast, kernel_for)
 from repro.batch.cskernel import CS_INF, CS_NAN, CS_NORMAL, CS_ZERO
+from repro.batch.engines import BACKEND_ENV
 from repro.cs.csnumber import CSNumber
 from repro.fma import (CSFmaEngine, CSFmaUnit, DiscreteMulAddEngine,
                        FcsFmaUnit, FusedIeeeEngine, PcsFmaUnit, cs_to_ieee,
@@ -211,6 +212,36 @@ class TestAccumulateBatch:
         assert fast._state.carry == ref._state.carry
         assert fast.operations == ref.operations
         assert_same_value(fast.result(), ref.result())
+
+    @pytest.mark.parametrize("backend, env, faithful", [
+        (None, None, False), ("auto", "faithful", False),
+        ("vector", None, False), ("tuple", None, False),
+        ("faithful", None, True), (None, "faithful", True)])
+    def test_backend_resolution(self, monkeypatch, backend, env, faithful):
+        """The MAC has no lane engine: ``faithful`` -- passed, or the
+        ``REPRO_BATCH_BACKEND`` default -- runs the scalar model, any
+        other backend the integer path."""
+        if env is None:
+            monkeypatch.delenv(BACKEND_ENV, raising=False)
+        else:
+            monkeypatch.setenv(BACKEND_ENV, env)
+        calls = []
+        accumulate = PcsAccumulator.accumulate
+        monkeypatch.setattr(
+            PcsAccumulator, "accumulate",
+            lambda acc, a, b: calls.append(1) or accumulate(acc, a, b))
+        a = [double(1.5), double(-0.25)]
+        acc = accumulate_batch(a, a, backend=backend)
+        assert acc.result().to_float() == 2.3125
+        assert len(calls) == (2 if faithful else 0)
+
+    @pytest.mark.parametrize("backend, env", [("simd", None),
+                                              (None, "vectr")])
+    def test_unknown_backend_rejected(self, monkeypatch, backend, env):
+        if env is not None:
+            monkeypatch.setenv(BACKEND_ENV, env)
+        with pytest.raises(ValueError, match="unknown backend"):
+            accumulate_batch([double(1.0)], [double(1.0)], backend=backend)
 
     def test_zero_products_count_as_operations(self):
         acc = accumulate_batch([double(0.0), double(2.0)],

@@ -5,7 +5,7 @@ is **bit-identical** to the tuple fast kernel (and therefore to the
 faithful models) for every lane it accepts, and that every lane it
 cannot accept -- specials, CS operands, non-binary64 operands, armed
 probes/guard, subnormal window edges -- is routed to the scalar kernel
-rather than approximated.  This module pins that claim four ways:
+rather than approximated.  This module pins that claim five ways:
 
 * the 298-vector golden corpus (``tests/vectors/fma_hard_cases.json``)
   through ``backend="vector"``, compared word-for-word against both the
@@ -13,6 +13,9 @@ rather than approximated.  This module pins that claim four ways:
 * seeded Hypothesis lane batches over the binary64 word grid
   (specials and subnormal encodings included);
 * binary32 / extended68 fma lanes against the faithful unit;
+* the off-paper geometries of ``test_fma_parametrized``: lane engine,
+  tuple kernel and faithful unit equal where binary64 fits, and the
+  faithful unit's refusal where it does not;
 * armed-probe / armed-guard fallback equivalence, with the telemetry
   counters proving the fallback actually engaged.
 
@@ -37,10 +40,12 @@ from repro import probes
 from repro.batch import (BACKENDS, dot_batch, fma_batch, select_engine,
                          vector_kernel_for)
 from repro.batch.engines import BACKEND_ENV
-from repro.fma import FcsFmaUnit, PcsFmaUnit, cs_to_ieee
+from repro.fma import CSFmaUnit, FcsFmaUnit, PcsFmaUnit, cs_to_ieee
+from repro.fma.dotprod import FusedDotProductUnit
 from repro.fp import BINARY32, BINARY64, EXTENDED68, FpClass, FPValue
 from repro.guard.residue import guarding
 from repro.telemetry import collecting
+from test_fma_parametrized import VARIANTS
 
 VECTORS = Path(__file__).parent / "vectors" / "fma_hard_cases.json"
 CASES = json.loads(VECTORS.read_text())["cases"]
@@ -357,6 +362,71 @@ class TestNonBinary64Lanes:
             counters = t.snapshot().counters
             assert counters["batch.vector.deferred.non-binary64"] == size // 2
             assert counters["batch.vector.lanes"] == size // 2
+
+
+# ---------------------------------------------------------------------------
+# off-paper geometries
+
+
+OFF_PAPER = {p.name: CSFmaUnit(p, selector=sel, use_carry_reduce=red)
+             for p, sel, red in VARIANTS}
+
+
+class TestOffPaperGeometries:
+    """The paper fixes two geometries; the lane engine takes any whose
+    fraction holds a binary64 significand, and refuses, as the faithful
+    unit does, one that cannot."""
+
+    @pytest.mark.parametrize("name", ["fcs-wide", "pcs-dense"])
+    def test_engines_agree(self, name):
+        """``fma_batch`` field by field on the corpus plus random normals;
+        ``dot_many_words`` lanes and ``dot_batch`` on both engines
+        against the faithful dot."""
+        unit = OFF_PAPER[name]
+        rng = random.Random(name)
+        words = [int(c[k], 16) for c in CASES for k in "abc"]
+        words += _normal_words(rng, 3 * 64)
+        a, b, c = ([from_word(w) for w in words[k::3]] for k in range(3))
+        assert_same_lowering(unit, a, b, c)
+        T, N = 24, 4
+        aw = np.array(words[:T * N], np.uint64).reshape(T, N)
+        bw = np.array(words[T * N:2 * T * N], np.uint64).reshape(T, N)
+        vk = vector_kernel_for(unit)
+        lanes = vk.dot_many_words(aw, bw)
+        for i in range(N):
+            av = [from_word(int(w)) for w in aw[:, i]]
+            bv = [from_word(int(w)) for w in bw[:, i]]
+            ref = word_of(FusedDotProductUnit(unit).dot(av, bv))
+            assert word_of(cs_to_ieee(vk.kernel.lower(lanes[i]))) == ref
+            for backend in ("vector", "tuple"):
+                got = dot_batch(av, bv, unit=unit, backend=backend)
+                assert word_of(got) == ref, (i, backend)
+
+    @pytest.mark.parametrize("call", ["fma-auto", "fma-vector",
+                                      "dot-vector", "dot-many-words"])
+    def test_narrow_geometry_refused_like_the_faithful_unit(
+            self, monkeypatch, call):
+        """``pcs-sp`` has 27 fraction bits, too few for binary64 -- the
+        lane engine used to lift it silently and return ZERO."""
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        unit = OFF_PAPER["pcs-sp"]
+        x, y, z = (FPValue.from_float(v, BINARY64) for v in (1.5, 2.0, 3.0))
+        message = "binary64 significand too wide for pcs-sp operand"
+        with pytest.raises(ValueError, match=message):
+            fma_batch([x], [y], [z], unit=unit, use_batch=False)
+        n = FMA_LANES if call == "fma-auto" else 4
+        with pytest.raises(ValueError, match=message):
+            if call == "fma-auto":
+                fma_batch([x] * n, [y] * n, [z] * n, unit=unit)
+            elif call == "fma-vector":
+                fma_batch([x] * n, [y] * n, [z] * n, unit=unit,
+                          backend="vector")
+            elif call == "dot-vector":
+                dot_batch([x] * n, [y] * n, unit=unit, backend="vector")
+            else:
+                vector_kernel_for(unit).dot_many_words(
+                    np.full((n, 2), word_of(x), np.uint64),
+                    np.full((n, 2), word_of(y), np.uint64))
 
 
 # ---------------------------------------------------------------------------

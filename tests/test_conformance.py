@@ -23,7 +23,7 @@ from repro.conformance import (FAMILIES, MUTATIONS, ShardSpec, case_digest,
                                generate_cases, injected, run_mutation_check,
                                run_shard, run_sweep, shard_key,
                                shrink_stream, shrink_triple)
-from repro.conformance.checks import check_case
+from repro.conformance.checks import CRASHED, check_case
 from repro.conformance.runner import main
 from repro.conformance.workunits import Case, load_golden_cases
 from repro.fma import FcsFmaUnit, PcsFmaUnit, cs_to_ieee, ieee_to_cs
@@ -183,13 +183,48 @@ class TestMutationTeeth:
     def test_each_fault_is_detected(self, name):
         report = run_sweep(shards=1, workers=1, seed=3, cases=16,
                            mutation=name, shrink=False)
-        assert report["totals"]["mismatches"] > 0
+        assert any(m["got"] != CRASHED for m in report["mismatches"])
 
     def test_full_smoke_check_passes(self):
         report = run_mutation_check(shards=1, workers=1, seed=3, cases=16)
         assert report["ok"]
         assert report["clean_mismatches"] == 0
         assert all(r["detected"] for r in report["mutants"].values())
+
+    def test_lane_engine_runs_the_mutated_carry_reduce(self):
+        """The carry mutant flips a constant of the shared stages' int
+        lane type; the lane engine splits that constant into digits, so
+        the single fmas of a ``vector`` sweep, which run on the lane
+        engine alone, give wrong results."""
+        report = run_sweep(shards=1, workers=1, seed=3, cases=16,
+                           families=("stratified", "golden"),
+                           mutation="carry-chunk-boundary", shrink=False,
+                           backend="vector")
+        assert any(m["got"] != CRASHED for m in report["mismatches"])
+
+    def test_crashing_mutant_is_not_detected(self, monkeypatch):
+        """A patch that no longer fits the code -- here one that edits
+        the Carry Reduce constant where the kernel no longer keeps it --
+        makes every check raise; that reports the mutant missed."""
+        from repro.batch.cskernel import FastCSKernel
+
+        def stale_patch():
+            init = FastCSKernel.__init__
+
+            def patched(self, *args):
+                init(self, *args)
+                self.H ^= 1
+
+            FastCSKernel.__init__ = patched
+            return {(FastCSKernel, "__init__"): init}
+
+        monkeypatch.setitem(MUTATIONS, "stale", (stale_patch, ("pcs",)))
+        report = run_mutation_check(["stale"], shards=1, workers=1, seed=3,
+                                    cases=8)
+        stale = report["mutants"]["stale"]
+        assert stale["mismatches"] > 0
+        assert stale["wrong_results"] == 0
+        assert not stale["detected"] and not report["ok"]
 
     def test_injection_does_not_leak(self):
         unit = PcsFmaUnit()

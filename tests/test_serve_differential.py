@@ -95,18 +95,32 @@ class TestBitIdentity:
 
         assert run(serve_with(None)) == run(serve_with("faithful"))
 
-    def test_faithful_backend_accumulates_on_the_faithful_model(
-            self, monkeypatch):
+    @staticmethod
+    def _faithful_accumulates(monkeypatch, payload: dict) -> int:
+        """Run an acc ``payload`` summing 1*1 + 1*1; how many calls the
+        faithful ``PcsAccumulator.accumulate`` took."""
         calls = []
         accumulate = PcsAccumulator.accumulate
         monkeypatch.setattr(
             PcsAccumulator, "accumulate",
             lambda acc, a, b: calls.append(1) or accumulate(acc, a, b))
         one = 0x3FF0000000000000
-        payload = {"op": "acc", "fmt": "pcs", "backend": "faithful",
-                   "items": [([one, one], [one, one], None)]}
+        payload = {"op": "acc", "fmt": "pcs",
+                   "items": [([one, one], [one, one], None)], **payload}
         assert execute_payload(payload) == [("ok", 0x4000000000000000)]
-        assert len(calls) == 2
+        return len(calls)
+
+    def test_faithful_backend_accumulates_on_the_faithful_model(
+            self, monkeypatch):
+        assert self._faithful_accumulates(
+            monkeypatch, {"backend": "faithful"}) == 2
+
+    def test_env_default_faithful_accumulates_on_the_faithful_model(
+            self, monkeypatch):
+        """A payload that names no backend takes the
+        ``REPRO_BATCH_BACKEND`` default, for acc as for fma and dot."""
+        monkeypatch.setenv("REPRO_BATCH_BACKEND", "faithful")
+        assert self._faithful_accumulates(monkeypatch, {}) == 2
 
 
 class TestConcurrencyFuzz:
