@@ -26,7 +26,8 @@ pinned to them by the differential harness in
 ``tests/test_batch_differential.py``.
 """
 
-from .api import accumulate_batch, dot_batch, fma_batch, select_engine
+from .api import (accumulate_batch, dot_batch, fma_batch, requested_backend,
+                  select_engine)
 from .cskernel import FastCSKernel, bit_positions, kernel_for
 from .engines import (BACKENDS, FastCSFmaEngine, FastDiscreteMulAddEngine,
                       FastFusedIeeeEngine, accelerate_engine)
@@ -40,7 +41,7 @@ __all__ = [
     "fma_batch", "dot_batch", "accumulate_batch",
     "accelerate_engine", "FastCSFmaEngine", "FastDiscreteMulAddEngine",
     "FastFusedIeeeEngine", "FastCSKernel", "kernel_for", "bit_positions",
-    "BACKENDS", "select_engine",
+    "BACKENDS", "select_engine", "requested_backend",
     "VectorCSKernel", "vector_kernel_for", "clear_vector_cache",
     "fp_add_fast", "fp_mul_fast", "fp_fma_fast", "as_format_fast",
     "round_to_format",

@@ -30,7 +30,8 @@ from .ieee_fast import fp_mul_fast
 from .stages import IntLanes, carry_reduce, csa
 from .vector import count_lanes, vector_kernel_for
 
-__all__ = ["fma_batch", "dot_batch", "accumulate_batch", "select_engine"]
+__all__ = ["fma_batch", "dot_batch", "accumulate_batch", "select_engine",
+           "requested_backend"]
 
 
 def select_engine(op: str, unit: CSFmaUnit, size: int,
@@ -55,7 +56,7 @@ def select_engine(op: str, unit: CSFmaUnit, size: int,
     """
     if not use_batch:
         return "faithful"
-    backend = _requested_backend(backend)
+    backend = requested_backend(backend)
     if unit.strict:
         return "faithful"
     if backend in ("tuple", "faithful"):
@@ -77,15 +78,18 @@ def select_engine(op: str, unit: CSFmaUnit, size: int,
     return "tuple"
 
 
-def _requested_backend(backend: str | None) -> str:
+def requested_backend(backend: str | None) -> str:
     """The backend a batch call asks for: ``backend``, else
     :data:`~repro.batch.engines.BACKEND_ENV`, else ``auto``; an unknown
-    name raises ``ValueError``."""
-    if backend is None:
+    name raises ``ValueError``, which names the variable when the name
+    came from it."""
+    from_env = backend is None
+    if from_env:
         backend = os.environ.get(BACKEND_ENV) or "auto"
     if backend not in BACKENDS:
+        named = f"{BACKEND_ENV}={backend}" if from_env else repr(backend)
         raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}")
+            f"unknown backend {named}; expected one of {BACKENDS}")
     return backend
 
 
@@ -125,7 +129,7 @@ def _fma_vector(vk, a, b, c) -> list[tuple]:
     :func:`_tuple_lanes`."""
     aw, bw, cw = _word_plane(a), _word_plane(b), _word_plane(c)
     acs, _ab, spec_a = vk.lift_words(aw)
-    _cb, bcs, spec_b = vk.lift_words(bw)
+    bcs, spec_b = vk.b_words(bw)
     ccs, _xb, spec_c = vk.lift_words(cw)
     defer = spec_a | spec_b | spec_c
     # deferred lanes re-run below; make their vector lanes trivial
@@ -251,7 +255,7 @@ def accumulate_batch(a: Sequence[FPValue], b: Sequence[FPValue],
     if _tm.ACTIVE is not None:
         _tm.ACTIVE.count("batch.acc.calls")
         _tm.ACTIVE.count("batch.acc.elements", len(a))
-    if not use_batch or _requested_backend(backend) == "faithful":
+    if not use_batch or requested_backend(backend) == "faithful":
         for ai, bi in zip(a, b):
             acc.accumulate(ai, bi)
         return acc

@@ -42,11 +42,12 @@ lane against the ``CSNumber``/``CSFloat`` invariants.
 
 Divergence policy
 -----------------
-The lane engine reads binary64 operands only: :meth:`lift_words` and
-:meth:`dot_many_words` take binary64 bit words, and :meth:`dot_hybrid`
-hands a dot holding any other format to the tuple kernel.  Keeping other
-inputs off the word lift is the caller's job: :func:`repro.batch.
-fma_batch` re-runs CS-operand and non-binary64 lanes on the tuple kernel.
+The lane engine reads binary64 operands only: :meth:`lift_words`,
+:meth:`b_words` and :meth:`dot_many_words` take binary64 bit words, and
+:meth:`dot_hybrid` hands a dot holding any other format to the tuple
+kernel.  Keeping other inputs off the word lift is the caller's job:
+:func:`repro.batch.fma_batch` re-runs CS-operand and non-binary64
+lanes on the tuple kernel.
 Inside the engine, lanes with NaN/Inf operands and dot lanes whose
 accumulator overflows mid-chain are masked out and re-run on the tuple
 kernel, so the result stream is bit-identical lane for lane.  Armed
@@ -854,15 +855,23 @@ class VectorCSKernel:
         normal word raises :meth:`_lift_sig`'s ``ValueError``."""
         words = np.asarray(words, np.uint64)
         n = words.shape[0]
+        bcols, special = self.b_words(words)
+        zlane = np.zeros(n, np.uint64)
+        cs = {"cls": bcols["cls"], "exp": bcols["exp"],
+              "m": self._lift_sig(bcols["sig"], bcols["sign"] == 1, self.MD),
+              "mc": np.zeros((n, self.MD), np.uint64), "rs": zlane,
+              "rc": zlane.copy(), "sh": bcols["sign"].astype(np.int64)}
+        return cs, bcols, special
+
+    def b_words(self, words):
+        """binary64 bit patterns -> (b cols, special mask): the IEEE B
+        port's columns, bit-identical to ``word_to_fp`` + ``lift_b``.
+        The B port keeps the binary64 significand as it is, so there is
+        no CS digit lift and no geometry too narrow for it."""
+        words = np.asarray(words, np.uint64)
         sig, sign, exp, special = self._word_planes(words, True)
         nan = special & ((words & self.fmask) != 0)
         cls = np.where(sig != 0, CS_NORMAL,
                        np.where(special, np.where(nan, CS_NAN, CS_INF),
                                 CS_ZERO))
-        zlane = np.zeros(n, np.uint64)
-        cs = {"cls": cls, "exp": exp,
-              "m": self._lift_sig(sig, sign == 1, self.MD),
-              "mc": np.zeros((n, self.MD), np.uint64), "rs": zlane,
-              "rc": zlane.copy(), "sh": sign.astype(np.int64)}
-        bcols = {"cls": cls, "sign": sign, "exp": exp, "sig": sig}
-        return cs, bcols, special
+        return {"cls": cls, "sign": sign, "exp": exp, "sig": sig}, special

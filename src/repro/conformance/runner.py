@@ -25,6 +25,7 @@ import os
 import sys
 import time
 
+from ..batch.api import requested_backend
 from ..batch.engines import BACKEND_ENV
 from ..faults.resilient import RetryPolicy, run_resilient
 from ..telemetry import core as _tm
@@ -421,10 +422,13 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="the repro.batch backend the sweep checks "
                              f"(default: ${BACKEND_ENV}, else auto)")
     args = parser.parse_args(argv)
-    backend = args.backend or os.environ.get(BACKEND_ENV) or "auto"
 
     # semantic argument validation fails with the argparse convention
     # (exit 2 + usage on stderr), distinct from runtime failures (1)
+    try:
+        backend = requested_backend(args.backend)
+    except ValueError as exc:
+        parser.error(str(exc))
     if backend not in BACKENDS:
         parser.error(f"{BACKEND_ENV}={backend}: a sweep runs on one of "
                      f"{', '.join(BACKENDS)}")

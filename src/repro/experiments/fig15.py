@@ -58,8 +58,8 @@ def run(sizes=None, fma_limit: int = FMA_UNIT_LIMIT) -> list[Fig15Row]:
         cycles = {}
         units = {}
         for flavor in ("pcs", "fcs"):
-            g = parse_program(kernel.source,
-                              outputs=kernel.output_names)
+            # the pass rewrites in place; a copy behaves like a re-parse
+            g = g0.copy()
             lib = default_library(fma_flavor=flavor, fma_limit=fma_limit)
             run_fma_insertion(g, lib)
             sched = require_clean(list_schedule(g, lib),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .ir import CDFG
 from .operators import OperatorLibrary
-from .schedule import Schedule, alap_schedule, asap_schedule
+from .schedule import Schedule, asap_schedule, asap_times, slack_times
 
 __all__ = ["critical_path_length", "node_slack", "critical_nodes",
            "longest_path_nodes"]
@@ -26,10 +26,10 @@ def node_slack(graph: CDFG, library: OperatorLibrary,
 
     ``asap`` reuses an ASAP schedule already computed on the unchanged
     graph."""
+    lat = library.latencies(graph)
     if asap is None:
-        asap = asap_schedule(graph, library)
-    alap = alap_schedule(graph, library, asap.length)
-    return {nid: alap.start[nid] - asap.start[nid] for nid in graph.nodes}
+        return slack_times(graph, lat, *asap_times(graph, lat))
+    return slack_times(graph, lat, asap.start, asap.finish_times())
 
 
 def critical_nodes(graph: CDFG, library: OperatorLibrary) -> set[int]:

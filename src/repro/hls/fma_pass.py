@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .critical_path import node_slack
 from .ir import CDFG, OpKind
 from .operators import OperatorLibrary
-from .schedule import asap_schedule
+from .schedule import asap_times, slack_times
 
 __all__ = ["FmaPassReport", "FmaPassVerificationError",
            "run_fma_insertion"]
@@ -81,16 +80,19 @@ def _find_critical_pairs(graph: CDFG, slack: dict[int, int],
     both operands are single-use multiplies, the one with less slack is
     fused (the other product stays discrete and feeds the A port).
     """
+    nodes = graph.nodes
+    adds = (OpKind.ADD, OpKind.SUB)
     pairs: list[tuple[int, int, int]] = []
     taken: set[int] = set()
     for nid in graph.topological_order():
-        node = graph.nodes[nid]
-        if node.kind not in (OpKind.ADD, OpKind.SUB) or \
-                slack[nid] > slack_threshold:
+        if slack[nid] > slack_threshold:
+            continue
+        node = nodes[nid]
+        if node.kind not in adds:
             continue
         candidates = []
         for port, op in enumerate(node.operands):
-            pred = graph.nodes[op]
+            pred = nodes[op]
             if pred.kind is not OpKind.MUL:
                 continue
             if op in taken or len(graph.consumers(op)) != 1:
@@ -105,19 +107,20 @@ def _find_critical_pairs(graph: CDFG, slack: dict[int, int],
     return pairs
 
 
-def _replace_pair(graph: CDFG, library: OperatorLibrary, add_id: int,
-                  mul_id: int, mul_port: int,
-                  ready_at: dict[int, int]) -> int:
+def _replace_pair(graph: CDFG, add_id: int, mul_id: int, mul_port: int,
+                  ready_at: dict[int, int]) -> list[int]:
     """Rewrite one add/sub + mul pair into FMA + converters.
 
-    ``ready_at`` caches the round-start ASAP finish times; nodes created
+    ``ready_at`` holds the round-start ASAP finish times; nodes created
     during the round (converted-back FMA results) are treated as
-    latest-ready so chains fuse through them.  Returns the new FMA node.
+    latest-ready so chains fuse through them.  Returns the ids of the
+    nodes it created, in ascending order.
     """
     add_node = graph.nodes[add_id]
     mul_node = graph.nodes[mul_id]
     other_port = 1 - mul_port
     addend = add_node.operands[other_port]
+    created = []
 
     negate_b = False
     if add_node.kind is OpKind.SUB:
@@ -127,6 +130,7 @@ def _replace_pair(graph: CDFG, library: OperatorLibrary, add_id: int,
         else:
             # b*c - a  ->  (-a) + b*c
             addend = graph.add_op(OpKind.NEG, addend)
+            created.append(addend)
 
     # pick the C (carry-save) input of the multiplier: the operand that
     # becomes ready later is the chain-critical one; ties prefer a
@@ -148,38 +152,51 @@ def _replace_pair(graph: CDFG, library: OperatorLibrary, add_id: int,
     fma = graph.add_op(OpKind.FMA, a_cs, b_op, c_cs,
                        name=add_node.name or "fma", negate_b=negate_b)
     out = graph.add_op(OpKind.C2I, fma)
+    created += (a_cs, c_cs, fma, out)
 
     graph.rewire(add_id, out)
     graph.remove(add_id)
     graph.remove(mul_id)
-    return fma
+    return created
 
 
-def _remove_redundant_converters(graph: CDFG) -> int:
+def _remove_redundant_converters(graph: CDFG, touched) -> int:
     """Fig. 12c: collapse ``i2c(c2i(x))`` chains so CS values flow
-    directly between FMA units; drop dead converters."""
+    directly between FMA units; drop C2Is nobody reads any more.
+
+    Visits the converters among ``touched`` (node ids) and the I2Cs
+    reading a touched C2I.  A round makes new pairs and unread C2Is
+    only through the converters it creates and the readers it rewires
+    onto a new C2I, so the ids it created cover all a full scan would
+    find; the first round passes every node.  A collapse only
+    re-points carry-save ports and makes no new pair, so one pass in
+    ascending I2C id order, a full scan's order, is enough.
+    """
+    nodes = graph.nodes
+    i2cs: set[int] = set()
+    c2is: set[int] = set()
+    for nid in touched:
+        node = nodes.get(nid)
+        if node is None:
+            continue
+        if node.kind is OpKind.I2C:
+            i2cs.add(nid)
+        elif node.kind is OpKind.C2I:
+            c2is.add(nid)
+            i2cs.update(cid for cid in graph.successors(nid)
+                        if nodes[cid].kind is OpKind.I2C)
     removed = 0
-    changed = True
-    while changed:
-        changed = False
-        for nid in list(graph.nodes):
-            node = graph.nodes.get(nid)
-            if node is None or node.kind is not OpKind.I2C:
-                continue
-            src = graph.nodes[node.operands[0]]
-            if src.kind is OpKind.C2I:
-                graph.rewire(nid, src.operands[0])
-                graph.remove(nid)
-                removed += 1
-                changed = True
-        # dead C2I nodes (their only consumers were removed I2Cs)
-        for nid in list(graph.nodes):
-            node = graph.nodes.get(nid)
-            if node is not None and node.kind is OpKind.C2I and \
-                    not graph.successors(nid):
-                graph.remove(nid)
-                removed += 1
-                changed = True
+    for nid in sorted(i2cs):
+        src = nodes[nid].operands[0]
+        if nodes[src].kind is OpKind.C2I:
+            graph.rewire(nid, nodes[src].operands[0])
+            graph.remove(nid)
+            removed += 1
+            c2is.add(src)
+    for nid in sorted(c2is):
+        if not graph.successors(nid):
+            graph.remove(nid)
+            removed += 1
     return removed
 
 
@@ -195,18 +212,23 @@ def run_fma_insertion(graph: CDFG, library: OperatorLibrary,
     a violation raises :class:`FmaPassVerificationError` -- the pass
     never hands a malformed datapath to the scheduler or simulator.
     """
-    # one ASAP and one ALAP per round: the slack picks the pairs, the
-    # ASAP finish times order each multiplier's operands
-    asap = asap_schedule(graph, library)
-    report = FmaPassReport(baseline_length=asap.length, final_length=0)
+    # one latency table for the whole call (nothing edits the library
+    # during it), extended by the nodes each round creates; ids are
+    # never reused, so entries of removed nodes are never read again
+    lat = library.latencies(graph)
+    # each round: one forward sweep (start, finish, length) and one
+    # backward sweep (slack) over one topological order
+    start, finish = asap_times(graph, lat)
+    report = FmaPassReport(baseline_length=max(finish.values(), default=0),
+                           final_length=0)
     for _ in range(max_rounds):
-        slack = node_slack(graph, library, asap)
+        slack = slack_times(graph, lat, start, finish)
         pairs = _find_critical_pairs(graph, slack, slack_threshold)
         if not pairs:
             break
         report.iterations += 1
         inserted = 0
-        ready_at = asap.finish_times()
+        created: list[int] = []
         for add_id, mul_id, mul_port in pairs:
             # earlier replacements in this round may have consumed nodes
             if add_id not in graph.nodes or mul_id not in graph.nodes:
@@ -215,14 +237,25 @@ def run_fma_insertion(graph: CDFG, library: OperatorLibrary,
                 continue
             if mul_id not in graph.nodes[add_id].operands:
                 continue
-            _replace_pair(graph, library, add_id, mul_id, mul_port,
-                          ready_at)
+            # the round-start finish times order each product's operands
+            created += _replace_pair(graph, add_id, mul_id, mul_port,
+                                     finish)
             inserted += 1
+        for nid in created:
+            lat[nid] = library.latency(graph.nodes[nid])
         report.fma_inserted += inserted
         report.fma_per_round.append(inserted)
-        report.converters_removed += _remove_redundant_converters(graph)
-        graph.prune_dead()
-        asap = asap_schedule(graph, library)
+        # the first round also clears what the graph arrived with:
+        # stray converter pairs and nodes with no path to an output.
+        # Later rounds start live and stay live (a fused add's readers
+        # move to its FMA's result, a collapsed I2C's to the FMA behind
+        # it), so they revisit only what they created and prune nothing
+        first = report.iterations == 1
+        report.converters_removed += _remove_redundant_converters(
+            graph, list(graph.nodes) if first else created)
+        if first:
+            graph.prune_dead()
+        start, finish = asap_times(graph, lat)
         if inserted == 0:  # pragma: no cover - defensive
             break
     # mandatory post-pass self-check: prove the Fig. 12 invariant on
@@ -233,5 +266,5 @@ def run_fma_insertion(graph: CDFG, library: OperatorLibrary,
     verification = verify_format_flow(graph, target="fma-pass")
     if not verification.ok:
         raise FmaPassVerificationError(verification)
-    report.final_length = asap.length
+    report.final_length = max(finish.values(), default=0)
     return report

@@ -17,7 +17,6 @@ removing redundant converter pairs matters.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 __all__ = ["OpKind", "ValueType", "Node", "CDFG", "PortTypeError"]
@@ -52,6 +51,11 @@ class OpKind(enum.Enum):
     FMA = "fma"     # a + b*c  (a, c in CS format; b in IEEE)
     I2C = "i2c"     # IEEE -> CS converter
     C2I = "c2i"     # CS -> IEEE converter
+
+    # members are singletons, so identity hashing is exact, and it runs
+    # in C: Enum's own ``hash(self._name_)`` is a Python call on every
+    # lookup of the per-kind tables the schedulers and the pass consult
+    __hash__ = object.__hash__
 
 
 #: operand-port value types per kind (None = same as the node's output)
@@ -182,6 +186,26 @@ class CDFG:
     def add_output(self, operand: int, name: str) -> int:
         return self.add_op(OpKind.OUTPUT, operand, name=name)
 
+    def copy(self) -> CDFG:
+        """An independent copy that behaves exactly like this graph.
+
+        Node ids, the next id, the use-index order and the cached
+        topological order carry over, so a pass run on a copy of a
+        parsed graph emits what it emits on a fresh parse of the same
+        source.  Each node is copied through its instance dict: the
+        operands tuple is shared, and ``Node``'s guard against
+        reassigning ``operands`` does not apply to a copy being built.
+        """
+        new = CDFG()
+        for nid, node in self.nodes.items():
+            dup = object.__new__(Node)
+            dup.__dict__.update(node.__dict__)
+            new.nodes[nid] = dup
+        new._next_id = self._next_id
+        new._uses = {nid: list(uses) for nid, uses in self._uses.items()}
+        new._order = None if self._order is None else list(self._order)
+        return new
+
     # -- structure ---------------------------------------------------------
 
     def predecessors(self, nid: int) -> list[int]:
@@ -209,27 +233,28 @@ class CDFG:
         """Topologically sorted node ids; raises on cycles.
 
         Kahn's algorithm seeded with the sources in ascending id order,
-        first-in first-out.  The order is cached until the next
-        mutation (the pass and both schedulers ask for it each round).
+        first-in first-out, each node's readers in ascending id order.
+        The order is cached until the next mutation (the pass and both
+        schedulers ask for it each round).  A dangling operand raises
+        ``KeyError``.
         """
         if self._order is None:
-            indeg = {nid: 0 for nid in self.nodes}
-            succs: dict[int, list[int]] = {nid: [] for nid in self.nodes}
-            for n in self.nodes.values():
-                for op in n.operands:
-                    succs[op].append(n.id)
-                    indeg[n.id] += 1
-            ready = deque(sorted(nid for nid, d in indeg.items()
-                                 if d == 0))
-            order: list[int] = []
-            while ready:
-                nid = ready.popleft()
-                order.append(nid)
-                for s in succs[nid]:
+            uses = self._uses
+            indeg = {nid: len(n.operands) for nid, n in self.nodes.items()}
+            # ``order`` is also the queue: the loop visits what it appends
+            order = sorted(nid for nid, d in indeg.items() if d == 0)
+            for nid in order:
+                # one entry per reading port; sorted, the readers come in
+                # the order a scan of the nodes in id order meets them
+                for s in sorted(uses[nid]):
                     indeg[s] -= 1
                     if indeg[s] == 0:
-                        ready.append(s)
+                        order.append(s)
             if len(order) != len(self.nodes):
+                for n in self.nodes.values():
+                    for op in n.operands:
+                        if op not in self.nodes:
+                            raise KeyError(op)
                 raise ValueError("CDFG contains a cycle")
             self._order = order
         return list(self._order)

@@ -31,6 +31,16 @@ from .ir import CDFG, Node, OpKind
 __all__ = ["OperatorSpec", "OperatorLibrary", "default_library"]
 
 
+#: the operator pool of every kind but FMA, whose pool names the unit
+#: flavor (None = wiring: sign flips, constants and I/O are free)
+_POOLS: dict[OpKind, str | None] = {
+    OpKind.INPUT: None, OpKind.CONST: None, OpKind.OUTPUT: None,
+    OpKind.NEG: None, OpKind.ADD: "add", OpKind.SUB: "add",
+    OpKind.MUL: "mul", OpKind.DIV: "div", OpKind.I2C: "i2c",
+    OpKind.C2I: "c2i",
+}
+
+
 @dataclass(frozen=True)
 class OperatorSpec:
     """Latency and area of one hardware operator."""
@@ -62,8 +72,10 @@ class OperatorLibrary:
     def latencies(self, graph: CDFG) -> dict[int, int]:
         """Latency of every node of ``graph``, looked up once per kind.
 
-        Callers build the table per call and do not keep it: ``specs``
-        and ``fma_limit`` may be edited between calls.
+        Callers keep a table no longer than one call of their own:
+        ``specs`` and ``fma_limit`` may be edited between calls.  The
+        FMA pass builds one per run and adds the nodes each round
+        creates; each scheduler call and the schedule check build one.
         """
         by_kind: dict[OpKind, int] = {}
         table: dict[int, int] = {}
@@ -83,21 +95,12 @@ class OperatorLibrary:
     def resource_class(self, node: Node) -> str | None:
         """Which physical operator pool a node occupies (None = wiring)."""
         k = node.kind
-        if k in (OpKind.INPUT, OpKind.CONST, OpKind.OUTPUT, OpKind.NEG):
-            return None
         if k is OpKind.FMA:
             return f"fma-{self.fma_flavor}"
-        if k in (OpKind.ADD, OpKind.SUB):
-            return "add"
-        if k is OpKind.MUL:
-            return "mul"
-        if k is OpKind.DIV:
-            return "div"
-        if k is OpKind.I2C:
-            return "i2c"
-        if k is OpKind.C2I:
-            return "c2i"
-        raise KeyError(f"no operator for {k}")
+        try:
+            return _POOLS[k]
+        except KeyError:
+            raise KeyError(f"no operator for {k}") from None
 
     def limit_for(self, resource: str) -> int | None:
         if resource.startswith("fma"):

@@ -65,13 +65,7 @@ class Schedule:
 
 def asap_schedule(graph: CDFG, library: OperatorLibrary) -> Schedule:
     """As-soon-as-possible start times (unconstrained resources)."""
-    lat = library.latencies(graph)
-    start: dict[int, int] = {}
-    for nid in graph.topological_order():
-        t = 0
-        for op in graph.nodes[nid].operands:
-            t = max(t, start[op] + lat[op])
-        start[nid] = t
+    start, _finish = asap_times(graph, library.latencies(graph))
     return Schedule(start, graph, library)
 
 
@@ -79,9 +73,35 @@ def alap_schedule(graph: CDFG, library: OperatorLibrary,
                   horizon: int | None = None) -> Schedule:
     """As-late-as-possible start times against a horizon (defaults to
     the ASAP length, giving zero slack on the critical path)."""
-    if horizon is None:
-        horizon = asap_schedule(graph, library).length
     lat = library.latencies(graph)
+    if horizon is None:
+        horizon = max(asap_times(graph, lat)[1].values(), default=0)
+    return Schedule(alap_times(graph, lat, horizon), graph, library)
+
+
+def asap_times(graph: CDFG, lat: dict[int, int],
+               ) -> tuple[dict[int, int], dict[int, int]]:
+    """The forward sweep: ASAP start and finish cycle of every node,
+    under the per-node latency table ``lat``."""
+    nodes = graph.nodes
+    start: dict[int, int] = {}
+    finish: dict[int, int] = {}
+    for nid in graph.topological_order():
+        t = 0
+        for op in nodes[nid].operands:
+            f = finish[op]
+            if f > t:
+                t = f
+        start[nid] = t
+        finish[nid] = t + lat[nid]
+    return start, finish
+
+
+def alap_times(graph: CDFG, lat: dict[int, int],
+               horizon: int) -> dict[int, int]:
+    """The backward sweep: ALAP start of every node against
+    ``horizon``, under the per-node latency table ``lat``."""
+    nodes = graph.nodes
     # walking consumers before producers, each node's start caps the
     # finish of its operands; a node nobody reads finishes at the horizon
     deadline: dict[int, int] = {}
@@ -89,10 +109,21 @@ def alap_schedule(graph: CDFG, library: OperatorLibrary,
     for nid in reversed(graph.topological_order()):
         t = deadline.get(nid, horizon) - lat[nid]
         start[nid] = t
-        for op in graph.nodes[nid].operands:
-            if op not in deadline or t < deadline[op]:
+        for op in nodes[nid].operands:
+            # an operand with no entry yet is capped by the horizon
+            if t < deadline.get(op, horizon):
                 deadline[op] = t
-    return Schedule(start, graph, library)
+    return start
+
+
+def slack_times(graph: CDFG, lat: dict[int, int], start: dict[int, int],
+                finish: dict[int, int]) -> dict[int, int]:
+    """ALAP minus ASAP start of every node, the ALAP taken against the
+    ASAP length: 0 on a critical path.  ``start``/``finish`` are
+    :func:`asap_times` of the unchanged graph, so this costs one
+    backward sweep."""
+    late = alap_times(graph, lat, max(finish.values(), default=0))
+    return {nid: late[nid] - start[nid] for nid in graph.nodes}
 
 
 def list_schedule(graph: CDFG, library: OperatorLibrary) -> Schedule:
@@ -106,10 +137,8 @@ def list_schedule(graph: CDFG, library: OperatorLibrary) -> Schedule:
     """
     import heapq
 
-    asap = asap_schedule(graph, library)
-    alap = alap_schedule(graph, library, asap.length)
-    slack = {nid: alap.start[nid] - asap.start[nid] for nid in graph.nodes}
     lat = library.latencies(graph)
+    slack = slack_times(graph, lat, *asap_times(graph, lat))
 
     remaining = {n.id: len(n.operands) for n in graph.nodes.values()}
 

@@ -1,5 +1,6 @@
 """Property tests: the FMA-insertion pass always emits verifiable
-graphs, and the CDFG's use index and cached order track every edit.
+graphs, it emits what a full rescan every round emits, and the CDFG's
+use index and cached order track every edit.
 
 Hypothesis builds random straight-line CDFGs (the shape of unrolled
 CVXGEN/Nymble kernels: a pool of inputs and constants, a random DAG of
@@ -7,7 +8,10 @@ ADD/SUB/MUL over them) and runs the Fig. 12 pass at varying slack
 thresholds and unit flavors.  Whatever the pass does -- fuse, insert
 converters, collapse converter pairs, prune -- the result must satisfy
 the CS format-flow invariant with zero diagnostics, and its schedules
-must validate.
+must validate.  The pass times the graph once per round and revisits
+only what a round changed; :func:`_full_rescan_pass` keeps the round
+that reschedules, rescans every converter and prunes every time, and
+both must emit the same graph and report, node for node.
 
 The second property drives random edit sequences (``add_op``,
 ``rewire``, ``remove``, ``prune_dead``, ``set_operands``) and compares
@@ -20,16 +24,25 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import check_schedule, verify_format_flow
-from repro.hls import (CDFG, OpKind, asap_schedule, default_library,
-                       list_schedule, run_fma_insertion)
+from repro.hls import (CDFG, FmaPassReport, OpKind, asap_schedule,
+                       default_library, list_schedule, node_slack,
+                       parse_program, run_fma_insertion)
+from repro.hls.fma_pass import _find_critical_pairs, _replace_pair
 
 _LIBS = {flavor: default_library(fma_flavor=flavor)
          for flavor in ("pcs", "fcs")}
 
 
 @st.composite
-def straight_line_cdfg(draw):
-    """A random straight-line datapath over IEEE operators."""
+def straight_line_cdfg(draw, pruned=True):
+    """A random straight-line datapath over IEEE operators.
+
+    ``pruned=False`` skips the final ``prune_dead`` and may add what a
+    parse would have pruned: inputs nobody reads and an overwritten
+    multiply-add chain (``t = ...; t = ...;``), which can be the
+    longest path, so the pass fuses dead adds.  It may also add a
+    product read on both ports of one live add.
+    """
     n_inputs = draw(st.integers(min_value=2, max_value=5))
     n_ops = draw(st.integers(min_value=1, max_value=24))
     g = CDFG()
@@ -45,14 +58,49 @@ def straight_line_cdfg(draw):
         a = draw(st.sampled_from(pool))
         b = draw(st.sampled_from(pool))
         pool.append(g.add_op(kind, a, b))
+    if not pruned and draw(st.booleans()):
+        prod = g.add_op(OpKind.MUL, draw(st.sampled_from(pool)),
+                        draw(st.sampled_from(pool)))
+        pool.append(g.add_op(OpKind.ADD, prod, prod))
     for nid in pool:
         if not g.successors(nid) and \
                 g.nodes[nid].kind not in (OpKind.INPUT, OpKind.CONST):
             g.add_output(nid, f"out{nid}")
     if not g.outputs():
         g.add_output(pool[-1], "out")
-    g.prune_dead()
+    if pruned:
+        g.prune_dead()
+    elif draw(st.booleans()):
+        dead = draw(st.sampled_from(pool))
+        for _ in range(draw(st.integers(min_value=1, max_value=8))):
+            prod = g.add_op(OpKind.MUL, draw(st.sampled_from(pool)),
+                            draw(st.sampled_from(pool)))
+            kind = draw(st.sampled_from([OpKind.ADD, OpKind.SUB]))
+            ops = (dead, prod) if draw(st.booleans()) else (prod, dead)
+            dead = g.add_op(kind, *ops)
     return g
+
+
+@st.composite
+def substitution_kernel(draw):
+    """An unrolled triangular solve, the shape of the Fig. 15
+    ``ldlsolve()`` kernels: ``x_i = b_i +- l_ij*x_j ...`` over a random
+    lower-triangular pattern, so multiply-add chains feed one another
+    and a pair fused in one round often reads an add fused in a later
+    one."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    lines = []
+    for i in range(n):
+        expr = f"b{i}"
+        for j in range(i):
+            if draw(st.booleans()):
+                sign = draw(st.sampled_from("+-"))
+                prod = draw(st.sampled_from([f"l{i}_{j}*x{j}",
+                                             f"x{j}*l{i}_{j}"]))
+                expr += f" {sign} {prod}"
+        lines.append(f"x{i} = {expr};")
+    return parse_program("\n".join(lines),
+                         outputs=[f"x{i}" for i in range(n)])
 
 
 @given(graph=straight_line_cdfg(),
@@ -87,6 +135,92 @@ def test_wider_slack_never_fuses_less(graph, slack_threshold):
     assert graph.op_count(OpKind.FMA) >= 0   # both verified by pass
     assert verify_format_flow(graph).clean
     assert verify_format_flow(strict).clean
+
+
+def _full_converter_scan(graph):
+    """Fig. 12c as a fixpoint over every node: collapse each
+    ``i2c(c2i(x))``, drop each C2I nobody reads, until nothing changes."""
+    removed = 0
+    changed = True
+    while changed:
+        changed = False
+        for nid in list(graph.nodes):
+            node = graph.nodes.get(nid)
+            if node is None or node.kind is not OpKind.I2C:
+                continue
+            src = graph.nodes[node.operands[0]]
+            if src.kind is OpKind.C2I:
+                graph.rewire(nid, src.operands[0])
+                graph.remove(nid)
+                removed += 1
+                changed = True
+        for nid in list(graph.nodes):
+            node = graph.nodes.get(nid)
+            if node is not None and node.kind is OpKind.C2I and \
+                    not graph.successors(nid):
+                graph.remove(nid)
+                removed += 1
+                changed = True
+    return removed
+
+
+def _full_rescan_pass(graph, library, slack_threshold):
+    """The Fig. 12 pass with a full rescan every round: a new ASAP and
+    ALAP, the fixpoint converter scan over every node and
+    ``prune_dead``.  The reference for :func:`run_fma_insertion`, which
+    must emit the same graph and report."""
+    asap = asap_schedule(graph, library)
+    report = FmaPassReport(baseline_length=asap.length, final_length=0)
+    for _ in range(64):
+        slack = node_slack(graph, library, asap)
+        pairs = _find_critical_pairs(graph, slack, slack_threshold)
+        if not pairs:
+            break
+        report.iterations += 1
+        inserted = 0
+        ready_at = asap.finish_times()
+        for add_id, mul_id, mul_port in pairs:
+            if add_id not in graph.nodes or mul_id not in graph.nodes:
+                continue
+            if graph.nodes[mul_id].kind is not OpKind.MUL:
+                continue
+            if mul_id not in graph.nodes[add_id].operands:
+                continue
+            _replace_pair(graph, add_id, mul_id, mul_port, ready_at)
+            inserted += 1
+        report.fma_inserted += inserted
+        report.fma_per_round.append(inserted)
+        report.converters_removed += _full_converter_scan(graph)
+        graph.prune_dead()
+        asap = asap_schedule(graph, library)
+    report.final_length = asap.length
+    return report
+
+
+def _nodes(graph):
+    return [(n.id, n.kind, n.operands, n.negate_b)
+            for n in graph.nodes.values()]
+
+
+@given(graph=st.one_of(straight_line_cdfg(),
+                       straight_line_cdfg(pruned=False),
+                       substitution_kernel()),
+       flavor=st.sampled_from(["pcs", "fcs"]),
+       slack_threshold=st.integers(min_value=0, max_value=3))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_pass_matches_full_rescan(graph, flavor, slack_threshold):
+    import copy
+
+    library = _LIBS[flavor]
+    ref = copy.deepcopy(graph)
+    want = _full_rescan_pass(ref, library, slack_threshold)
+    got = run_fma_insertion(graph, library,
+                            slack_threshold=slack_threshold)
+    assert got == want
+    assert _nodes(graph) == _nodes(ref)
+    assert list_schedule(graph, library).start == \
+        list_schedule(ref, library).start
 
 
 def test_threshold_zero_matches_legacy_behavior():

@@ -402,6 +402,16 @@ class TestOffPaperGeometries:
                 got = dot_batch(av, bv, unit=unit, backend=backend)
                 assert word_of(got) == ref, (i, backend)
 
+    def test_narrow_geometry_takes_a_normal_b(self):
+        """The B port reads the binary64 significand as it is, so a
+        geometry too narrow to lift it still takes a normal B: against
+        zero A and C every engine returns the faithful unit's ZERO (the
+        lane engine used to lift B's CS digits too, and refused)."""
+        unit = OFF_PAPER["pcs-sp"]
+        zero, b = (FPValue.from_float(v, BINARY64) for v in (0.0, 1.5))
+        out = assert_same_lowering(unit, [zero] * 4, [b] * 4, [zero] * 4)
+        assert all(r.cls is FpClass.ZERO for r in out)
+
     @pytest.mark.parametrize("call", ["fma-auto", "fma-vector",
                                       "dot-vector", "dot-many-words"])
     def test_narrow_geometry_refused_like_the_faithful_unit(

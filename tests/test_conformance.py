@@ -345,6 +345,16 @@ class TestCli:
         assert exc.value.code == 2
         assert "REPRO_BATCH_BACKEND=faithful" in capsys.readouterr().err
 
+    def test_unknown_backend_from_env_is_refused(self, monkeypatch,
+                                                 capsys):
+        # the batch API's reader refuses the name; the CLI exits with
+        # the argparse convention and names the variable
+        monkeypatch.setenv("REPRO_BATCH_BACKEND", "vectr")
+        with pytest.raises(SystemExit) as exc:
+            main(["--shards", "1", "--no-cache"])
+        assert exc.value.code == 2
+        assert "REPRO_BATCH_BACKEND=vectr" in capsys.readouterr().err
+
     def test_list_mutations(self, capsys):
         rc = main(["--list-mutations"])
         assert rc == 0

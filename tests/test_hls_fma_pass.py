@@ -67,6 +67,23 @@ class TestBasicRewrite:
         assert asap_schedule(g, lib).length == length
 
 
+class TestCopies:
+    @pytest.mark.parametrize("flavor", ["pcs", "fcs"])
+    def test_pass_on_a_copy_matches_a_fresh_parse(self, flavor):
+        # fig15 parses each kernel once and runs the pass on copies
+        src = LISTING1 + "t1 = a - b*x3; y = b*c - t1;"
+        g0 = fresh(src)
+        lib = default_library(fma_flavor=flavor)
+        got, want = g0.copy(), fresh(src)
+        assert run_fma_insertion(got, lib) == run_fma_insertion(want, lib)
+        assert [(n.id, n.kind, n.operands, n.negate_b)
+                for n in got.nodes.values()] == \
+            [(n.id, n.kind, n.operands, n.negate_b)
+             for n in want.nodes.values()]
+        assert g0.op_count(OpKind.FMA) == 0
+        assert len(g0) == len(fresh(src))
+
+
 class TestSemanticsPreserved:
     @pytest.mark.parametrize("flavor,engine", [
         ("pcs", pcs_engine), ("fcs", fcs_engine)])
@@ -159,8 +176,8 @@ class TestGraphHygiene:
 
         real_cleanup = fp._remove_redundant_converters
 
-        def sabotage(graph):
-            removed = real_cleanup(graph)
+        def sabotage(graph, touched):
+            removed = real_cleanup(graph, touched)
             for out in graph.outputs():
                 node = graph.nodes[out]
                 src = graph.nodes[node.operands[0]]
@@ -221,6 +238,16 @@ class TestLdlsolveShape:
             1863, 352,
             "d096b9470d2f7723e43463ee1905f0a7"
             "56d1ee0b9d04307fe1d7cd9296dd614f"),
+        ("large", "pcs"): (
+            1099, 923, 12, [202, 18, 25, 13, 21, 13, 10, 10, 10, 4, 1, 1],
+            773, 3052, 923,
+            "0a6b93479fd5db45b4a78f40b75d378f"
+            "208499437491e6f596e330147f5fc406"),
+        ("large", "fcs"): (
+            1099, 559, 10, [202, 30, 20, 13, 35, 19, 10, 6, 8, 2], 813,
+            3046, 559,
+            "ae5446ea5e014facd43d5e834a6ce3af"
+            "4e1a15f11783f0f8b4ef78eb91c165da"),
     }
 
     @staticmethod

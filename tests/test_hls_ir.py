@@ -113,6 +113,12 @@ class TestStructure:
         with pytest.raises(ValueError):
             g.topological_order()
 
+    def test_dangling_operand_raises_key_error(self):
+        g, (a, b, c, m, s) = small_graph()
+        g.set_operands(m, [a, 4242])
+        with pytest.raises(KeyError):
+            g.topological_order()
+
     def test_operands_change_only_through_the_graph(self):
         g, (a, b, c, m, s) = small_graph()
         g.validate()                    # caches the order
@@ -160,3 +166,39 @@ class TestStructure:
         dot = g.to_dot()
         assert dot.startswith("digraph")
         assert "mul" in dot and "ieee" in dot
+
+
+def _state(g):
+    """A snapshot of everything a copy must carry over."""
+    return ([(n.id, n.kind, n.operands, n.name, n.value, n.negate_b)
+             for n in g.nodes.values()],
+            g._next_id, {nid: list(u) for nid, u in g._uses.items()},
+            None if g._order is None else list(g._order))
+
+
+class TestCopy:
+    def test_copy_keeps_ids_use_index_and_order(self):
+        g, (a, b, c, m, s) = small_graph()
+        neg = g.add_op(OpKind.NEG, a)
+        g.set_operands(m, [a, b])       # re-lists m after neg under a
+        assert g._uses[a] == [neg, m]
+        g.validate()                    # caches the order
+        dup = g.copy()
+        assert _state(dup) == _state(g)
+        assert dup._order is not None
+        assert dup.add_input("e") == g.add_input("e")
+
+    def test_copy_is_independent(self):
+        g, (a, b, c, m, s) = small_graph()
+        g.validate()
+        before = _state(g)
+        dup = g.copy()
+        dup.set_operands(s, [c, m])
+        dup.nodes[s].name = "renamed"
+        dup.add_op(OpKind.NEG, a)       # a new reader of a
+        assert _state(g) == before
+        dup.prune_dead()
+        assert _state(g) == before
+        assert g.nodes[s].name == ""
+        with pytest.raises(AttributeError):
+            dup.nodes[m].operands = (b, a)
