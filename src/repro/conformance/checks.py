@@ -33,6 +33,8 @@ __all__ = [
     "unit_by_name",
     "describe_ieee",
     "describe_cs",
+    "same_ieee",
+    "same_cs",
     "check_case",
     "CRASHED",
 ]
@@ -66,7 +68,9 @@ def describe_cs(x) -> str:
             f"sign_hint={x.sign_hint}")
 
 
-def _same_ieee(x: FPValue, y: FPValue) -> bool:
+def same_ieee(x: FPValue, y: FPValue) -> bool:
+    """Bit-exact IEEE equality: class, sign, and for normal values the
+    exponent and fraction fields."""
     if x.cls is not y.cls or x.sign != y.sign:
         return False
     if x.is_normal:
@@ -75,7 +79,9 @@ def _same_ieee(x: FPValue, y: FPValue) -> bool:
     return True
 
 
-def _same_cs(x, y) -> bool:
+def same_cs(x, y) -> bool:
+    """Bit-exact CS equality: every raw field, sum and carry words
+    included (two encodings of one value differ)."""
     return (x.cls == y.cls and x.exp == y.exp
             and x.sign_hint == y.sign_hint
             and x.mant.sum == y.mant.sum and x.mant.carry == y.mant.carry
@@ -107,7 +113,7 @@ def _check_triple(case: Case, unit_name: str, backend: str) -> list[dict]:
     if unit_name == "classic":
         ref = fp_fma(a, b, c, fmt=BINARY64)
         fast = fp_fma_fast(a, b, c, fmt=BINARY64)
-        if not _same_ieee(fast, ref):
+        if not same_ieee(fast, ref):
             out.append(_mismatch(case, unit_name, describe_ieee(fast),
                                  describe_ieee(ref),
                                  "fp_fma_fast vs fp_fma"))
@@ -120,7 +126,7 @@ def _check_triple(case: Case, unit_name: str, backend: str) -> list[dict]:
     ref = unit.fma(ieee_to_cs(a, unit.params), b,
                    ieee_to_cs(c, unit.params))
     (fast,) = fma_batch([a], [b], [c], unit=unit, backend=backend)
-    if not _same_cs(fast, ref):
+    if not same_cs(fast, ref):
         out.append(_mismatch(case, unit_name, describe_cs(fast),
                              describe_cs(ref), "kernel vs faithful unit"))
     expect = case.expected.get(unit.name)
@@ -143,7 +149,7 @@ def _check_chain(case: Case, unit_name: str, backend: str) -> list[dict]:
             facc = fp_fma_fast(facc, b, facc2, fmt=BINARY64)
             acc, acc2 = acc2, acc
             facc, facc2 = facc2, facc
-            if not _same_ieee(facc2, acc2):
+            if not same_ieee(facc2, acc2):
                 return [_mismatch(case, unit_name, describe_ieee(facc2),
                                   describe_ieee(acc2), f"chain step {i}")]
         return []
@@ -158,7 +164,7 @@ def _check_chain(case: Case, unit_name: str, backend: str) -> list[dict]:
         fast = kernel.fma(fast, kernel.lift_b(b), fast2)
         ref, ref2 = ref2, ref
         fast, fast2 = fast2, fast
-        if not _same_cs(kernel.lower(fast2), ref2):
+        if not same_cs(kernel.lower(fast2), ref2):
             return [_mismatch(case, unit_name,
                               describe_cs(kernel.lower(fast2)),
                               describe_cs(ref2), f"chain step {i}")]
@@ -173,7 +179,7 @@ def _check_dot(case: Case, unit_name: str, backend: str) -> list[dict]:
     unit = unit_by_name(unit_name)
     ref = FusedDotProductUnit(unit).dot(a, b)
     fast = dot_batch(a, b, unit=unit, backend=backend)
-    if not _same_ieee(fast, ref):
+    if not same_ieee(fast, ref):
         return [_mismatch(case, unit_name, describe_ieee(fast),
                           describe_ieee(ref), f"dot len {len(a)}")]
     return []

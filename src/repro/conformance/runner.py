@@ -27,7 +27,7 @@ import time
 
 from ..batch.api import requested_backend
 from ..batch.engines import BACKEND_ENV
-from ..faults.resilient import RetryPolicy, run_resilient
+from ..faults.resilient import RetryPolicy, resilience_rows, run_resilient
 from ..telemetry import core as _tm
 from . import mutation as mutation_mod
 from .cache import ResultCache, code_fingerprint, default_cache_dir, shard_key
@@ -136,8 +136,8 @@ def _failed_shard_record(spec: ShardSpec, wr) -> dict:
         "seed": spec.seed,
         "spec": spec.to_dict(),
         "failed": True,
-        "error": wr.error if wr is not None else {"kind": "lost"},
-        "attempts": wr.attempts if wr is not None else 0,
+        "error": wr.error,
+        "attempts": wr.attempts,
         "case_digest": None,
         "cases": 0,
         "checks": 0,
@@ -165,13 +165,15 @@ def run_sweep(shards: int = 8, workers: int | None = None, seed: int = 0, *,
     whenever code, vectors, and spec (``backend`` included) are
     unchanged; mutation sweeps bypass the cache entirely.
 
-    Parallel shards run under the resilient executor
-    (:func:`repro.faults.resilient.run_resilient`): each shard gets a
-    ``shard_timeout_s`` wall-clock budget and up to ``retries``
-    attempts; a worker death respawns the pool and re-dispatches the
-    survivors.  A shard that fails every attempt becomes a structured
-    ``failed`` record (counted in ``totals.failed_shards``, never
-    cached) rather than a hung or crashed sweep.
+    Shards run under the resilient executor
+    (:func:`repro.faults.resilient.run_resilient`), inline or pooled:
+    each gets up to ``retries`` attempts, and in a pool a
+    ``shard_timeout_s`` wall-clock budget per attempt, with a worker
+    death respawning the pool and re-dispatching the survivors.  Each
+    shard is cached as it finishes.  A shard that fails every attempt
+    becomes a structured ``failed`` record (counted in
+    ``totals.failed_shards``, never cached) rather than a hung or
+    crashed sweep.
     """
     if shards < 1:
         raise ValueError("need at least one shard")
@@ -209,31 +211,24 @@ def run_sweep(shards: int = 8, workers: int | None = None, seed: int = 0, *,
     else:
         pending = list(specs)
 
-    resilience = None
-    if workers > 1 and len(pending) > 1:
-        run = run_resilient(
-            _shard_entry, [s.to_dict() for s in pending],
-            workers=min(workers, len(pending)),
-            timeout_s=shard_timeout_s,
-            retry=RetryPolicy(max_attempts=max(retries, 1)),
-            rng_seed=seed)
-        resilience = run.summary()
-        for spec, wr in zip(pending, run.results):
-            if wr is not None and wr.ok:
-                results[spec.shard_id] = wr.value
-            else:
-                results[spec.shard_id] = _failed_shard_record(spec, wr)
-    else:
-        for spec in pending:
-            results[spec.shard_id] = _shard_entry(spec.to_dict())
-
-    if cache is not None:
-        for spec in pending:
-            res = results[spec.shard_id]
-            if res.get("failed"):
-                continue  # a failed shard must never poison the cache
+    def settle(wr) -> None:
+        spec = pending[wr.index]
+        if not wr.ok:
+            # a failed shard must never poison the cache
+            results[spec.shard_id] = _failed_shard_record(spec, wr)
+            return
+        res = results[spec.shard_id] = wr.value
+        if cache is not None:
             res["cache_key"] = keys[spec.shard_id]
             cache.put(keys[spec.shard_id], res)
+
+    pool_size = min(workers, len(pending))
+    run = run_resilient(
+        _shard_entry, [s.to_dict() for s in pending], workers=pool_size,
+        timeout_s=shard_timeout_s,
+        retry=RetryPolicy(max_attempts=max(retries, 1)),
+        rng_seed=seed, on_result=settle)
+    resilience = run.summary() if pool_size > 1 else None
 
     wall = time.perf_counter() - t0
     ordered = [results[i] for i in range(shards)]
@@ -349,14 +344,7 @@ def format_summary(report: dict) -> str:
                         f"{err.get('kind', '?')} after "
                         f"{r.get('attempts', 0)} attempts "
                         f"({err.get('message', '')})".rstrip(" ()"))
-    res = report.get("resilience")
-    if res and (res["retries"] or res["timeouts"] or res["pool_respawns"]
-                or res["serial_fallback"]):
-        rows.append(f"resilience: {res['retries']} retries, "
-                    f"{res['timeouts']} timeouts, "
-                    f"{res['pool_respawns']} pool respawns"
-                    + (", serial fallback" if res["serial_fallback"]
-                       else ""))
+    rows.extend(resilience_rows(report.get("resilience")))
     for m in report["mismatches"][:10]:
         rows.append("")
         rows.append(f"MISMATCH [{m['unit']}] {m['family']}/{m['stratum']} "
@@ -405,8 +393,7 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="wall-clock seconds one shard attempt may "
                              "take in parallel mode (default 300)")
     parser.add_argument("--retries", type=int, default=3,
-                        help="max attempts per shard in parallel mode "
-                             "(default 3)")
+                        help="max attempts per shard (default 3)")
     parser.add_argument("--no-shrink", action="store_true")
     parser.add_argument("--json-out", default=None,
                         help="write the full structured report here")

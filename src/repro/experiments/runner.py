@@ -9,21 +9,21 @@ Usage::
     python -m repro.experiments.runner fig15
 
 The driver shares the conformance subsystem's machinery
-(:mod:`repro.conformance`): with ``--workers > 1`` experiments fan out
-across the same ``ProcessPoolExecutor`` pattern the conformance sweep
-uses, and with ``--cache-dir`` each experiment's output is stored in the
+(:mod:`repro.conformance`): experiments run through the same resilient
+executor (:mod:`repro.faults.resilient`) as the conformance sweep,
+inline or, with ``--workers > 1``, in a process pool, and with
+``--cache-dir`` each experiment's output is stored as it finishes in the
 same content-hash :class:`~repro.conformance.cache.ResultCache` -- keyed
 by a fingerprint of the whole ``repro`` source tree, so any code change
 invalidates every cached table.  The ``conformance`` pseudo-experiment
 runs a differential sweep alongside the figures.
 
-A failing experiment no longer takes the whole run down silently: its
-traceback is printed to stderr, the remaining experiments still run, and
-the driver exits non-zero.  Parallel runs go through the resilient
-executor (:mod:`repro.faults.resilient`): a worker that dies or hangs
-past ``--timeout`` is retried on a respawned pool, and if it never
-succeeds the driver reports a structured error record for that
-experiment instead of blocking forever on ``future.result()``.
+A failing experiment does not take the whole run down: it is retried
+(``--retries``; in a pool, a worker that dies or hangs past
+``--timeout`` is retried on a respawned pool), and if it never succeeds
+its traceback goes to stderr, the driver prints a structured
+``error-record:`` line for it, the remaining experiments still run, and
+the driver exits non-zero.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import argparse
 import hashlib
 import sys
 import time
-import traceback
 
 from ..faults.resilient import RetryPolicy, run_resilient
 from ..telemetry import core as _tm
@@ -84,10 +83,6 @@ EXPERIMENTS = {
     "conformance": _run_conformance,
 }
 
-#: experiments that manage their own worker pool and therefore always
-#: run inline in the driver process
-_OWN_POOL = {"conformance"}
-
 
 def run_experiment(name: str, runs: int = 20, shards: int = 4,
                    workers: int = 1, seed: int = 0,
@@ -104,9 +99,7 @@ def run_experiment(name: str, runs: int = 20, shards: int = 4,
 
 def _experiment_entry(payload: dict) -> str:
     """Picklable resilient-executor work unit: one experiment."""
-    return run_experiment(payload["name"], payload["runs"],
-                          payload["shards"], 1, payload["seed"],
-                          payload["cache_dir"])
+    return run_experiment(**payload)
 
 
 def _cache_key(fingerprint: str, name: str, args) -> str:
@@ -140,8 +133,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="wall-clock seconds one experiment attempt "
                              "may take in parallel mode (default 600)")
     parser.add_argument("--retries", type=int, default=2,
-                        help="max attempts per experiment in parallel "
-                             "mode (default 2)")
+                        help="max attempts per experiment (default 2)")
     args = parser.parse_args(argv)
     names = args.experiments or list(EXPERIMENTS)
 
@@ -154,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         fingerprint = code_fingerprint()
 
     outputs: dict[str, str] = {}
-    failures: dict[str, str] = {}
+    failures: dict[str, dict] = {}  # name -> structured error record
     started = {name: time.time() for name in names}
 
     pending = []
@@ -170,70 +162,50 @@ def main(argv: list[str] | None = None) -> int:
                 _tm.ACTIVE.count("experiments.cache.miss")
         pending.append(name)
 
-    def record(name: str, exc: BaseException) -> None:
-        failures[name] = "".join(traceback.format_exception(exc))
+    def settle(wr) -> None:
+        name = pending[wr.index]
+        if wr.ok:
+            outputs[name] = wr.value
+            if cache is not None:
+                cache.put(_cache_key(fingerprint, name, args),
+                          {"experiment": name, "text": wr.value})
+            return
+        failures[name] = dict(wr.error, attempts=wr.attempts)
         if _tm.ACTIVE is not None:
             _tm.ACTIVE.count("experiments.failed")
 
-    error_records: dict[str, dict] = {}
-    pooled = [n for n in pending if n not in _OWN_POOL]
-    inline = [n for n in pending if n in _OWN_POOL]
-    if args.workers > 1 and len(pooled) > 1:
-        payloads = [{"name": n, "runs": args.runs, "shards": args.shards,
-                     "seed": args.seed, "cache_dir": args.cache_dir}
-                    for n in pooled]
-        run = run_resilient(
-            _experiment_entry, payloads,
-            workers=min(args.workers, len(pooled)),
-            timeout_s=args.timeout,
-            retry=RetryPolicy(max_attempts=max(args.retries, 1)),
-            rng_seed=args.seed)
-        for name, wr in zip(pooled, run.results):
-            if wr is not None and wr.ok:
-                outputs[name] = wr.value
-            else:
-                err = (wr.error if wr is not None and wr.error
-                       else {"kind": "lost"})
-                error_records[name] = {"experiment": name, **err,
-                                       "attempts": wr.attempts
-                                       if wr is not None else 0}
-                failures[name] = (
-                    f"[{err.get('kind', '?')}] "
-                    + err.get("message", "worker never returned")
-                    + ("\n" + err["traceback"]
-                       if "traceback" in err else ""))
-    else:
-        inline = pending
-    for name in inline:
-        try:
-            outputs[name] = run_experiment(
-                name, args.runs, args.shards, args.workers, args.seed,
-                args.cache_dir)
-        except Exception as exc:
-            record(name, exc)
-
-    if cache is not None:
-        for name in pending:
-            if name in outputs:
-                cache.put(_cache_key(fingerprint, name, args),
-                          {"experiment": name, "text": outputs[name]})
+    # the conformance sweep fans its shards out only when it is the one
+    # experiment to run; beside others it takes one slot, shards inline
+    inner_workers = args.workers if len(pending) == 1 else 1
+    payloads = [{"name": n, "runs": args.runs, "shards": args.shards,
+                 "workers": inner_workers, "seed": args.seed,
+                 "cache_dir": args.cache_dir} for n in pending]
+    run_resilient(_experiment_entry, payloads,
+                  workers=min(args.workers, len(pending)),
+                  timeout_s=args.timeout,
+                  retry=RetryPolicy(max_attempts=max(args.retries, 1)),
+                  rng_seed=args.seed, on_result=settle)
 
     for name in names:
         print(f"=== {name} " + "=" * (60 - len(name)))
         if name in failures:
+            err = failures[name]
             print(f"[{name} FAILED]")
-            print(failures[name], file=sys.stderr)
+            print(f"[{err['kind']}] "
+                  + err.get("message", "worker never returned")
+                  + ("\n" + err["traceback"] if "traceback" in err else ""),
+                  file=sys.stderr)
         else:
             print(outputs[name])
         print(f"[{name} took {time.time() - started[name]:.1f}s]\n")
 
     if failures:
-        for name in sorted(error_records):
-            rec = error_records[name]
+        for name in sorted(failures):
+            rec = failures[name]
             print("error-record: "
-                  f"{{'experiment': {rec['experiment']!r}, "
-                  f"'kind': {rec.get('kind', '?')!r}, "
-                  f"'attempts': {rec.get('attempts', 0)}}}",
+                  f"{{'experiment': {name!r}, "
+                  f"'kind': {rec['kind']!r}, "
+                  f"'attempts': {rec['attempts']}}}",
                   file=sys.stderr)
         print(f"{len(failures)} experiment(s) failed: "
               f"{', '.join(sorted(failures))}", file=sys.stderr)

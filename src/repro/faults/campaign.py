@@ -41,13 +41,14 @@ import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from ..conformance.checks import same_cs, same_ieee
 from ..conformance.workunits import STRATA, draw_triple
 from ..fma.convert import cs_to_ieee, ieee_to_cs
 from ..fma.formats import CSFloat
 from ..fp import word_to_fp
 from ..probes import Arm, armed
 from ..telemetry import core as _tm
-from .resilient import RetryPolicy, run_resilient
+from .resilient import RetryPolicy, resilience_rows, run_resilient
 from .sites import (SITE_CLASSES, SITES, FaultSite, flip_word,
                     make_transform, params_for_unit, select_sites)
 
@@ -206,23 +207,6 @@ def _operand_injection(config: CampaignConfig, site: FaultSite,
 # outcome classification
 
 
-def _same_ieee(x, y) -> bool:
-    if x.cls is not y.cls or x.sign != y.sign:
-        return False
-    if x.is_normal:
-        return (x.biased_exponent == y.biased_exponent
-                and x.fraction == y.fraction)
-    return True
-
-
-def _same_cs(x: CSFloat, y: CSFloat) -> bool:
-    return (x.cls == y.cls and x.exp == y.exp
-            and x.sign_hint == y.sign_hint
-            and x.mant.sum == y.mant.sum and x.mant.carry == y.mant.carry
-            and x.round_data.sum == y.round_data.sum
-            and x.round_data.carry == y.round_data.carry)
-
-
 def _compare(site: FaultSite, golden, got) -> str:
     """How a data result differs from the golden one.
 
@@ -241,9 +225,9 @@ def _compare(site: FaultSite, golden, got) -> str:
             golden, got = lower(golden), lower(got)
         except Exception as exc:
             return f"format:{type(exc).__name__}"
-    if _same_cs(golden, got):
+    if same_cs(golden, got):
         return "identical"
-    if _same_ieee(cs_to_ieee(golden), cs_to_ieee(got)):
+    if same_ieee(cs_to_ieee(golden), cs_to_ieee(got)):
         return "representation"
     return "value-changed"
 
@@ -481,11 +465,10 @@ def run_injection(config: CampaignConfig, site: FaultSite,
 
 
 def _campaign_entry(payload: dict) -> list[dict]:
-    """Picklable work unit: evaluate one contiguous plan slice."""
-    config = payload["config"]
-    evaluate = payload["evaluate"]
+    """Picklable work unit: evaluate one slice of the plan."""
+    config, evaluate = payload["config"], payload["evaluate"]
     return [evaluate(config, SITES[inj["site"]], inj)
-            for inj in plan_injections(config)[payload["lo"]:payload["hi"]]]
+            for inj in payload["plan"]]
 
 
 def load_checkpoint(path: "str | Path") -> dict[int, dict]:
@@ -519,11 +502,13 @@ def collect_records(config: CampaignConfig, evaluate=run_injection, *,
 
     ``evaluate(config, site, injection)`` returns one record; it must be
     picklable (module level, or a ``functools.partial`` of one) because
-    ``workers > 1`` sends contiguous slices of the pending plan through
-    :func:`repro.faults.resilient.run_resilient` and merges the records
-    by id, so the result equals the serial run's.  With ``checkpoint``
-    every record is appended to a JSONL file as it completes;
-    ``resume=True`` skips the ids already there.
+    ``workers > 1`` sends ``chunk``-sized slices of the pending plan
+    through a process pool and merges the records by id, so the result
+    equals the serial run's.  Either way the plan runs through
+    :func:`repro.faults.resilient.run_resilient`, one injection per item
+    when serial.  With ``checkpoint`` the records are appended to a
+    JSONL file as each item finishes; ``resume=True`` skips the ids
+    already there.
     """
     plan = plan_injections(config)
     done: dict[int, dict] = {}
@@ -534,44 +519,34 @@ def collect_records(config: CampaignConfig, evaluate=run_injection, *,
                     if i < len(plan)}
         ckpt_file = open(checkpoint, "a" if resume else "w")
 
-    def keep(rec: dict) -> None:
-        done[rec["id"]] = rec
-        if ckpt_file is not None:
-            _append_checkpoint(ckpt_file, rec)
+    todo = [inj for inj in plan if inj["id"] not in done]
+    pooled = workers > 1 and len(todo) > chunk
+    size = chunk if pooled else 1
+    payloads = [{"config": config, "evaluate": evaluate,
+                 "plan": todo[lo:lo + size]}
+                for lo in range(0, len(todo), size)]
 
-    todo = [inj["id"] for inj in plan if inj["id"] not in done]
-    resilience = None
+    def keep(res) -> None:
+        # a slice that failed every attempt is finished inline: the
+        # campaign never loses injections to pool failures
+        records = (res.value if res.ok
+                   else _campaign_entry(payloads[res.index]))
+        for rec in records:
+            done[rec["id"]] = rec
+            if ckpt_file is not None:
+                _append_checkpoint(ckpt_file, rec)
+
     try:
-        if workers > 1 and len(todo) > chunk:
-            payloads: list[dict] = []
-            for i in todo:
-                last = payloads[-1] if payloads else None
-                if last and i == last["hi"] and i - last["lo"] < chunk:
-                    last["hi"] = i + 1
-                else:
-                    payloads.append({"config": config, "evaluate": evaluate,
-                                     "lo": i, "hi": i + 1})
-            run = run_resilient(
-                _campaign_entry, payloads, workers=workers,
-                timeout_s=timeout_s,
-                retry=RetryPolicy(max_attempts=max_attempts),
-                rng_seed=config.seed)
-            resilience = run.summary()
-            todo = []
-            for res, payload in zip(run.results, payloads):
-                if res.ok:
-                    for rec in res.value:
-                        keep(rec)
-                else:
-                    todo.extend(range(payload["lo"], payload["hi"]))
-        # serial runs, and permanently failed slices finished inline:
-        # the campaign never loses injections to pool failures
-        for i in todo:
-            keep(evaluate(config, SITES[plan[i]["site"]], plan[i]))
+        run = run_resilient(
+            _campaign_entry, payloads, workers=workers if pooled else 1,
+            timeout_s=timeout_s,
+            retry=RetryPolicy(max_attempts=max_attempts),
+            rng_seed=config.seed, on_result=keep)
     finally:
         if ckpt_file is not None:
             ckpt_file.close()
-    return [done[i] for i in sorted(done)], resilience
+    return ([done[i] for i in sorted(done)],
+            run.summary() if pooled else None)
 
 
 def run_campaign(config: CampaignConfig, *, workers: int = 1,
@@ -688,17 +663,6 @@ def aggregate(config: CampaignConfig, records: list[dict],
     }
 
 
-def resilience_rows(report: dict) -> list[str]:
-    """A text report's footer: the pool's recovery events, if it ran."""
-    res = report.get("resilience")
-    if not res:
-        return []
-    return ["", f"resilience: {res['retries']} retries, "
-                f"{res['timeouts']} timeouts, "
-                f"{res['pool_respawns']} pool respawns"
-                + (", serial fallback" if res["serial_fallback"] else "")]
-
-
 def render_text(report: dict) -> str:
     """Human-readable campaign summary with the SDC-rate table."""
     t = report["totals"]
@@ -730,4 +694,4 @@ def render_text(report: dict) -> str:
         fired = ", ".join(f"{r}x{n}" for r, n in report["rules"].items())
         rows.append("")
         rows.append(f"analysis rules fired: {fired}")
-    return "\n".join(rows + resilience_rows(report))
+    return "\n".join(rows + resilience_rows(report.get("resilience")))

@@ -1,4 +1,4 @@
-"""Resilient parallel execution for every sharded runner in the repo.
+"""Resilient execution, inline or pooled, for every sharded runner.
 
 ``ProcessPoolExecutor`` alone is brittle in exactly the ways a
 long-running sweep meets in practice: a hung worker blocks
@@ -7,7 +7,8 @@ pool with :class:`BrokenProcessPool`, and a transient failure loses the
 shard with no retry.  This module wraps the pool with the recovery
 policy the conformance sweep (:mod:`repro.conformance.runner`), the
 experiment driver (:mod:`repro.experiments.runner`) and the
-fault-injection campaign (:mod:`repro.faults.campaign`) all share:
+fault-injection campaigns (:mod:`repro.faults.campaign`) all share;
+each runs through it once per run, at every worker count:
 
 * **per-item wall-clock timeouts** -- a deadline starts when the item
   is submitted into a bounded in-flight window (never more than
@@ -20,19 +21,18 @@ fault-injection campaign (:mod:`repro.faults.campaign`) all share:
 * **hung-worker reclaim** -- a timed-out worker cannot be cancelled
   through the executor API, so the pool is killed and respawned and
   the survivors re-dispatched;
-* **graceful serial degradation** -- after ``serial_fallback_after``
-  pool-level failures the remaining items run inline, one by one;
-* **graceful drain** -- an optional run-wide ``deadline_s`` stops the
-  run at a wall-clock budget: items still pending or mid-retry surface
-  as structured ``drained`` error records (carrying the last failure,
-  if any), never silently lost and never executed twice;
+* **graceful serial degradation** -- after two pool-level failures
+  the remaining items run inline, one by one;
+* **a per-item hook** -- ``on_result`` is called in the parent as each
+  item settles, so a runner persists each result (a cache entry, a
+  checkpoint line) as it finishes, not after the whole run;
 * **structured failure records** -- an item that exhausts its attempts
   produces a :class:`WorkResult` with a machine-readable error record
   instead of an exception that kills the sweep.
 
-The work function must be a picklable module-level callable.  If it
-accepts a second positional parameter it receives the zero-based
-attempt number -- which the resilience tests use to build
+In a pool the work function must be a picklable module-level
+callable.  If it accepts a second positional parameter it receives the
+zero-based attempt number -- which the resilience tests use to build
 deterministic "fail exactly once" workloads.
 """
 
@@ -49,7 +49,8 @@ from concurrent.futures import (FIRST_COMPLETED, CancelledError,
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-__all__ = ["RetryPolicy", "WorkResult", "ResilientRun", "run_resilient"]
+__all__ = ["RetryPolicy", "WorkResult", "ResilientRun", "run_resilient",
+           "resilience_rows"]
 
 
 @dataclass(frozen=True)
@@ -107,12 +108,21 @@ class ResilientRun:
             "retries": kinds.get("retry", 0),
             "timeouts": kinds.get("timeout", 0),
             "worker_deaths": kinds.get("worker-died", 0),
-            "drained": sum(1 for r in self.results
-                           if r is not None and not r.ok and r.error
-                           and r.error.get("kind") == "drained"),
             "pool_respawns": self.pool_failures,
             "serial_fallback": self.serial_fallback,
         }
+
+
+def resilience_rows(summary: dict | None) -> list[str]:
+    """A text report's footer for a :meth:`ResilientRun.summary`: the
+    pool's recovery events, or nothing for a run that used no pool."""
+    if not summary:
+        return []
+    return ["", f"resilience: {summary['retries']} retries, "
+                f"{summary['timeouts']} timeouts, "
+                f"{summary['pool_respawns']} pool respawns"
+                + (", serial fallback" if summary["serial_fallback"]
+                   else "")]
 
 
 # ---------------------------------------------------------------------------
@@ -168,27 +178,30 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 # ---------------------------------------------------------------------------
 # the resilient loop
 
+#: pool-level failures (worker deaths, hung-pool reclaims) after which
+#: the remaining items run inline
+_SERIAL_FALLBACK_AFTER = 2
+
 
 def run_resilient(fn, items, *, workers: int | None = None,
                   timeout_s: float | None = None,
                   retry: RetryPolicy | None = None,
-                  serial_fallback_after: int = 2,
                   rng_seed: int = 0,
                   always_pool: bool = False,
-                  deadline_s: float | None = None) -> ResilientRun:
+                  on_result=None) -> ResilientRun:
     """Run ``fn`` over ``items`` with timeouts, retry, and pool recovery.
 
     ``workers=None`` uses ``os.cpu_count()``; ``workers<=1`` (or a
     single item) runs everything inline from the start, still with
     retry.  ``timeout_s`` bounds one attempt of one item (pool mode
-    only -- the serial path cannot preempt a hung call and records
-    that limitation in the run's events).  ``always_pool=True`` keeps
-    even a single-item run in the process pool so it gets the full
-    timeout/respawn treatment (the serving layer's per-batch isolation
-    mode needs exactly that).  ``deadline_s`` is a run-wide wall-clock
-    budget: when it expires the run drains -- no new dispatches, no
-    further retries, and every unfinished item gets a structured
-    ``drained`` error record.  Results preserve item order; the run
+    only -- the serial path cannot preempt a hung call).
+    ``always_pool=True`` keeps even a single-item run in the process
+    pool so it gets the full timeout/respawn treatment (the serving
+    layer's per-batch isolation mode needs exactly that).
+    ``on_result(result)`` is called in this process once per item, as
+    it settles, with its final :class:`WorkResult` -- ok, or failed for
+    good -- in the order items settle; an exception it raises
+    propagates out of the run.  Results preserve item order; the run
     never raises for item failures.
     """
     policy = retry if retry is not None else RetryPolicy()
@@ -203,15 +216,16 @@ def run_resilient(fn, items, *, workers: int | None = None,
         workers = os.cpu_count() or 1
     rng = random.Random(rng_seed)
     wants_attempt = _accepts_attempt(fn)
-    run_deadline = (None if deadline_s is None
-                    else time.monotonic() + deadline_s)
     attempts = [0] * n
     pending: deque[int] = deque(range(n))
     serial = workers <= 1 or (n <= 1 and not always_pool)
-    if serial:
-        run.serial_fallback = False  # inline by request, not degradation
     pool: ProcessPoolExecutor | None = None
     in_flight: dict = {}  # future -> (index, deadline | None)
+
+    def settle(result: WorkResult) -> None:
+        run.results[result.index] = result
+        if on_result is not None:
+            on_result(result)
 
     def record_failure(idx: int, kind: str,
                        exc: BaseException | None = None) -> None:
@@ -222,23 +236,14 @@ def run_resilient(fn, items, *, workers: int | None = None,
             err["traceback"] = "".join(
                 traceback.format_exception(type(exc), exc,
                                            exc.__traceback__))[-2000:]
-        run.results[idx] = WorkResult(idx, False, None, err,
-                                      attempts[idx], ran_serial=serial)
         run.events.append({"kind": "permanent-failure", "item": idx,
                            "after": kind})
-
-    def drain_due() -> bool:
-        return (run_deadline is not None
-                and time.monotonic() >= run_deadline)
+        settle(WorkResult(idx, False, None, err, attempts[idx],
+                          ran_serial=serial))
 
     def retry_or_fail(idx: int, kind: str,
                       exc: BaseException | None = None) -> None:
         if attempts[idx] < policy.max_attempts:
-            if drain_due():
-                # mid-retry at the drain deadline: a structured record
-                # carrying the last failure, not a lost item
-                record_failure(idx, "drained", exc)
-                return
             run.events.append({"kind": "retry", "item": idx,
                                "after": kind})
             time.sleep(policy.backoff_s(attempts[idx], rng))
@@ -259,54 +264,27 @@ def run_resilient(fn, items, *, workers: int | None = None,
         if pool is not None:
             _kill_pool(pool)
             pool = None
-        if run.pool_failures >= serial_fallback_after:
+        if run.pool_failures >= _SERIAL_FALLBACK_AFTER:
             serial = True
             run.serial_fallback = True
             run.events.append({"kind": "serial-fallback"})
 
-    def run_serial(idx: int) -> None:
-        while True:
-            attempts[idx] += 1
-            try:
-                value = _pool_entry(fn, items[idx], attempts[idx] - 1,
-                                    wants_attempt)
-            except Exception as exc:
-                if attempts[idx] < policy.max_attempts:
-                    if drain_due():
-                        record_failure(idx, "drained", exc)
-                        return
-                    run.events.append({"kind": "retry", "item": idx,
-                                       "after": "exception"})
-                    time.sleep(policy.backoff_s(attempts[idx], rng))
-                    continue
-                record_failure(idx, "exception", exc)
-                return
-            run.results[idx] = WorkResult(idx, True, value, None,
-                                          attempts[idx],
-                                          ran_serial=True)
-            return
+    def run_inline(idx: int) -> None:
+        attempts[idx] += 1
+        try:
+            value = _pool_entry(fn, items[idx], attempts[idx] - 1,
+                                wants_attempt)
+        except Exception as exc:
+            retry_or_fail(idx, "exception", exc)
+        else:
+            settle(WorkResult(idx, True, value, None, attempts[idx],
+                              ran_serial=True))
 
     try:
         while pending or in_flight:
-            if drain_due():
-                run.events.append({"kind": "drain"})
-                while pending:
-                    record_failure(pending.popleft(), "drained")
-                for _fut, (idx, _dl) in list(in_flight.items()):
-                    record_failure(idx, "drained")
-                in_flight.clear()
-                if pool is not None:
-                    _kill_pool(pool)
-                    pool = None
-                break
             if serial:
                 while pending:
-                    if drain_due():
-                        run.events.append({"kind": "drain"})
-                        while pending:
-                            record_failure(pending.popleft(), "drained")
-                        break
-                    run_serial(pending.popleft())
+                    run_inline(pending.popleft())
                 break
             if pool is None:
                 pool = ProcessPoolExecutor(max_workers=workers)
@@ -336,11 +314,6 @@ def run_resilient(fn, items, *, workers: int | None = None,
             wait_s = (None if not deadlines
                       else max(0.0, min(deadlines) - time.monotonic())
                       + 0.01)
-            if run_deadline is not None:
-                drain_wait = max(0.0,
-                                 run_deadline - time.monotonic()) + 0.01
-                wait_s = (drain_wait if wait_s is None
-                          else min(wait_s, drain_wait))
             done, _ = wait(list(in_flight), timeout=wait_s,
                            return_when=FIRST_COMPLETED)
             pool_broken = False
@@ -357,14 +330,15 @@ def run_resilient(fn, items, *, workers: int | None = None,
                 except Exception as exc:
                     retry_or_fail(idx, "exception", exc)
                 else:
-                    run.results[idx] = WorkResult(idx, True, value,
-                                                  None, attempts[idx])
+                    settle(WorkResult(idx, True, value, None,
+                                      attempts[idx]))
             if pool_broken:
                 abandon_pool("broken-pool")
                 continue
+            # a future that finished while a hook ran is not hung
             now = time.monotonic()
             expired = [fut for fut, (idx, dl) in in_flight.items()
-                       if dl is not None and now >= dl]
+                       if dl is not None and now >= dl and not fut.done()]
             if expired:
                 for fut in expired:
                     idx, _dl = in_flight.pop(fut)

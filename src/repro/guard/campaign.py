@@ -43,7 +43,8 @@ from functools import partial
 
 from ..faults.campaign import (CampaignConfig, _compare, _data_injection,
                                _operand_injection, collect_records,
-                               resilience_rows, run_injection, tabulate)
+                               run_injection, tabulate)
+from ..faults.resilient import resilience_rows
 from ..faults.sites import FaultSite, select_sites
 from ..probes import armed
 from ..telemetry import core as _tm
@@ -261,4 +262,4 @@ def render_guarded_text(report: dict) -> str:
         rows.append(f"  {name:<26} {b['injections']:>5} inj  "
                     f"{b['baseline_sdc']:>4} -> {b['sdc_to_user']:>4}  "
                     f"corrected {b['corrected']:>4}")
-    return "\n".join(rows + resilience_rows(report))
+    return "\n".join(rows + resilience_rows(report.get("resilience")))

@@ -83,7 +83,6 @@ def _find_critical_pairs(graph: CDFG, slack: dict[int, int],
     nodes = graph.nodes
     adds = (OpKind.ADD, OpKind.SUB)
     pairs: list[tuple[int, int, int]] = []
-    taken: set[int] = set()
     for nid in graph.topological_order():
         if slack[nid] > slack_threshold:
             continue
@@ -95,15 +94,13 @@ def _find_critical_pairs(graph: CDFG, slack: dict[int, int],
             pred = nodes[op]
             if pred.kind is not OpKind.MUL:
                 continue
-            if op in taken or len(graph.consumers(op)) != 1:
+            if len(graph.consumers(op)) != 1:
                 continue
             candidates.append((slack[op], port, op))
         if candidates:
             candidates.sort()
             _s, port, op = candidates[0]
             pairs.append((nid, op, port))
-            taken.add(op)
-            taken.add(nid)
     return pairs
 
 

@@ -153,6 +153,29 @@ class TestCache:
         assert report["totals"]["mismatches"] == 0
         assert report["config"]["backend"] == "vector"
 
+    def test_serial_shard_that_raises_fails_alone(self, tmp_path,
+                                                  monkeypatch):
+        from repro.conformance import runner
+        from repro.conformance.cache import ResultCache
+
+        real = runner.run_shard
+
+        def last_shard_raises(spec):
+            if spec.shard_id == 2:
+                raise RuntimeError("shard 2 crashed")
+            return real(spec)
+
+        monkeypatch.setattr(runner, "run_shard", last_shard_raises)
+        report = run_sweep(shards=3, workers=1, seed=5, cases=4,
+                           cache_dir=tmp_path / "cache", retries=2)
+        assert report["totals"]["failed_shards"] == [2]
+        failed = report["shards"][2]
+        assert failed["failed"] and failed["attempts"] == 2
+        assert failed["error"]["type"] == "RuntimeError"
+        assert "resilience" not in report
+        # the shards that finished were cached as they finished
+        assert len(ResultCache(tmp_path / "cache")) == 2
+
     def test_spec_fields_feed_the_key(self):
         base = small_spec()
         assert shard_key(base, "fp") == shard_key(base, "fp")

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro import probes
+from repro.faults import campaign
 from repro.faults.campaign import (CampaignConfig, load_checkpoint,
                                    plan_injections, render_text,
                                    run_campaign, run_injection)
@@ -131,6 +132,24 @@ def test_parallel_report_matches_serial():
     res = par.pop("resilience")
     assert res["failed"] == []
     assert _dumps(serial) == _dumps(par)
+
+
+def test_pool_checkpoints_each_slice_as_it_finishes(monkeypatch, tmp_path):
+    ckpt = tmp_path / "campaign.jsonl"
+    lines_at_return = []
+    real = campaign.run_resilient
+
+    def spy(*args, **kwargs):
+        run = real(*args, **kwargs)
+        lines_at_return.append(len(ckpt.read_text().splitlines()))
+        return run
+
+    monkeypatch.setattr(campaign, "run_resilient", spy)
+    config = CampaignConfig(seed=11, injections=120, operands=8)
+    report = run_campaign(config, workers=2, chunk=16, checkpoint=ckpt)
+    assert report["resilience"]["items"] == 8
+    # every pooled record is on disk by the time the pool returns
+    assert lines_at_return == [120]
 
 
 def test_failed_pool_slice_is_finished_inline(monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
-"""Resilient-executor tests: timeouts, worker death, serial fallback.
+"""Resilient-executor tests: timeouts, worker death, serial fallback,
+and the per-item hook.
 
 Worker functions are module-level (picklable) and condition their
 misbehaviour on the *attempt number* the executor passes, so each test
@@ -154,7 +155,7 @@ def test_killed_worker_respawns_pool_and_redispatches():
 
 def test_repeated_pool_failures_degrade_to_serial():
     run = run_resilient(die_below_attempt_2, ["x", "y"], workers=2,
-                        timeout_s=5.0, serial_fallback_after=2,
+                        timeout_s=5.0,
                         retry=RetryPolicy(max_attempts=4,
                                           backoff_base_s=0.01,
                                           backoff_cap_s=0.02, jitter=0.0))
@@ -174,63 +175,63 @@ def test_max_attempts_validation():
 def test_summary_shape():
     s = ResilientRun().summary()
     assert set(s) == {"items", "ok", "failed", "retries", "timeouts",
-                      "worker_deaths", "drained", "pool_respawns",
+                      "worker_deaths", "pool_respawns",
                       "serial_fallback"}
 
 
-# -- graceful drain ---------------------------------------------------------
+# -- the per-item hook -----------------------------------------------------
 
-def slow_then_fail(x, attempt):
-    # every attempt burns wall clock then fails, so with a generous
-    # retry budget the run can only end by draining
-    time.sleep(0.05)
-    raise RuntimeError(f"still-failing #{x}")
-
-
-def test_drain_surfaces_retrying_items_as_structured_errors():
-    run = run_resilient(
-        slow_then_fail, ["a", "b", "c"], workers=1,
-        retry=RetryPolicy(max_attempts=50, backoff_base_s=0.01,
-                          backoff_cap_s=0.02, jitter=0.0),
-        deadline_s=0.12)
-    # exactly one record per item -- nothing lost, nothing duplicated
-    assert [r.index for r in run.results] == [0, 1, 2]
-    assert all(not r.ok for r in run.results)
-    kinds = {r.error["kind"] for r in run.results}
-    assert kinds <= {"drained", "exception"} and "drained" in kinds
-    # a drained mid-retry item carries its last underlying failure
-    drained = [r for r in run.results if r.error["kind"] == "drained"]
-    assert any(r.error.get("type") == "RuntimeError" for r in drained)
-    assert run.summary()["drained"] == len(drained)
-    assert any(e["kind"] == "drain" for e in run.events)
+def fails_on_two(x):
+    if x == 2:
+        raise ValueError("permanent #2")
+    return x * x
 
 
-def test_drain_zero_budget_drains_everything_without_execution():
-    run = run_resilient(square, [1, 2, 3], workers=1, retry=FAST,
-                        deadline_s=0.0)
-    assert all(not r.ok and r.error["kind"] == "drained"
-               for r in run.results)
-    assert all(r.attempts == 0 for r in run.results)
-    assert run.summary()["drained"] == 3
+@pytest.mark.parametrize("workers", [1, 2])
+def test_hook_sees_each_final_result_once_before_return(workers):
+    seen = []
+    run = run_resilient(fails_on_two, [1, 2, 3], workers=workers,
+                        retry=FAST, on_result=seen.append)
+    # one call per item, each with the result the run returns
+    assert sorted(r.index for r in seen) == [0, 1, 2]
+    assert all(r is run.results[r.index] for r in seen)
+    # the permanently failed item too, after its last attempt
+    (failed,) = [r for r in seen if not r.ok]
+    assert failed.index == 1 and failed.attempts == FAST.max_attempts
+    assert failed.error["type"] == "ValueError"
+    assert [r.value for r in run.results if r.ok] == [1, 9]
 
 
-def test_drain_in_pool_mode_never_loses_an_item():
-    run = run_resilient(
-        slow_then_fail, list("abcdef"), workers=2,
-        retry=RetryPolicy(max_attempts=50, backoff_base_s=0.01,
-                          backoff_cap_s=0.02, jitter=0.0),
-        deadline_s=0.15)
-    assert sum(1 for r in run.results if r is not None) == 6
-    assert all(not r.ok for r in run.results)
-    assert all(r.error["kind"] in ("drained", "exception")
-               for r in run.results)
-    assert run.summary()["drained"] >= 1
+def sleep_for(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
-def test_no_drain_without_deadline():
-    run = run_resilient(square, [1, 2, 3], workers=1, retry=FAST)
-    assert run.ok
-    assert run.summary()["drained"] == 0
+def test_item_finished_during_a_slow_hook_is_not_a_timeout():
+    # the hook holds the parent past the second item's deadline while
+    # that item finishes in its worker: it must settle, not time out
+    calls = []
+
+    def slow_first(result):
+        calls.append(result.index)
+        if len(calls) == 1:
+            time.sleep(2.5)
+
+    run = run_resilient(sleep_for, [0.0, 0.3], workers=2, timeout_s=2.0,
+                        retry=FAST, on_result=slow_first)
+    assert run.ok and [r.attempts for r in run.results] == [1, 1]
+    assert run.pool_failures == 0
+    assert not any(e["kind"] == "timeout" for e in run.events)
+
+
+def raise_in_hook(result):
+    raise OSError("disk full")
+
+
+def test_hook_exception_propagates():
+    with pytest.raises(OSError, match="disk full"):
+        run_resilient(square, [1, 2], workers=1, retry=FAST,
+                      on_result=raise_in_hook)
 
 
 # -- cache integrity (the quarantine drill) ---------------------------------
