@@ -97,9 +97,13 @@ def run_experiment(name: str, runs: int = 20, shards: int = 4,
     return out
 
 
-def _experiment_entry(payload: dict) -> str:
-    """Picklable resilient-executor work unit: one experiment."""
-    return run_experiment(**payload)
+def _experiment_entry(payload: dict) -> tuple[str, float]:
+    """Picklable resilient-executor work unit: one experiment's output
+    and its own run time, taken where it runs (in a pool, a result
+    arrives later than its work finished)."""
+    t0 = time.perf_counter()
+    text = run_experiment(**payload)
+    return text, time.perf_counter() - t0
 
 
 def _cache_key(fingerprint: str, name: str, args) -> str:
@@ -146,15 +150,17 @@ def main(argv: list[str] | None = None) -> int:
         fingerprint = code_fingerprint()
 
     outputs: dict[str, str] = {}
+    took: dict[str, float] = {}  # name -> seconds this run spent on it
     failures: dict[str, dict] = {}  # name -> structured error record
-    started = {name: time.time() for name in names}
 
     pending = []
     for name in names:
         if cache is not None:
+            t0 = time.perf_counter()
             hit = cache.get(_cache_key(fingerprint, name, args))
             if hit is not None:
                 outputs[name] = hit["text"] + "\n[cached]"
+                took[name] = time.perf_counter() - t0
                 if _tm.ACTIVE is not None:
                     _tm.ACTIVE.count("experiments.cache.hit")
                 continue
@@ -165,10 +171,10 @@ def main(argv: list[str] | None = None) -> int:
     def settle(wr) -> None:
         name = pending[wr.index]
         if wr.ok:
-            outputs[name] = wr.value
+            outputs[name], took[name] = wr.value
             if cache is not None:
                 cache.put(_cache_key(fingerprint, name, args),
-                          {"experiment": name, "text": wr.value})
+                          {"experiment": name, "text": outputs[name]})
             return
         failures[name] = dict(wr.error, attempts=wr.attempts)
         if _tm.ACTIVE is not None:
@@ -197,7 +203,8 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
         else:
             print(outputs[name])
-        print(f"[{name} took {time.time() - started[name]:.1f}s]\n")
+            print(f"[{name} took {took[name]:.1f}s]")
+        print()
 
     if failures:
         for name in sorted(failures):

@@ -120,19 +120,13 @@ def generate_ldlfactor_source(sym: SymbolicLDL) -> str:
     per-iteration hot path where possible and why the paper's FMA pass
     targets the solve phase.
     """
-    rows = sym.rows()
-    row_sets = [set(r) for r in rows]
     lines = [f"// ldlfactor: n={sym.n}, nnz(L)={sym.nnz}"]
-    cols: list[list[int]] = [[] for _ in range(sym.n)]
-    for i, j in sym.l_pattern:
-        cols[j].append(i)
-    for j in range(sym.n):
-        terms = "".join(f" - L{j}_{k}*L{j}_{k}*d{k}" for k in rows[j])
+    for j, (d_terms, entries) in enumerate(sym.factor_walk):
+        terms = "".join(f" - L{j}_{k}*L{j}_{k}*d{k}" for k in d_terms)
         lines.append(f"d{j} = K{j}_{j}{terms};")
         lines.append(f"dinv{j} = 1.0/d{j};")
-        for i in sorted(cols[j]):
-            shared = [k for k in rows[j] if k in row_sets[i]]
-            terms = "".join(f" - L{i}_{k}*L{j}_{k}*d{k}" for k in shared)
+        for i, ks in entries:
+            terms = "".join(f" - L{i}_{k}*L{j}_{k}*d{k}" for k in ks)
             lines.append(f"L{i}_{j} = (K{i}_{j}{terms})*dinv{j};")
     return "\n".join(lines) + "\n"
 

@@ -82,7 +82,6 @@ class InteriorPointSolver:
     tolerance: float = 1e-7
     regularization: float = 1e-7
     backend: KernelBackend | None = None
-    use_batch: bool = True
     _symbolic: SymbolicLDL | None = field(default=None, repr=False)
 
     def _sym(self) -> SymbolicLDL:
@@ -125,7 +124,7 @@ class InteriorPointSolver:
             sigma = 0.1
             w = s / lam
             K = assemble_kkt(p, w, self.regularization)
-            L, D = numeric_ldl(K, sym, use_batch=self.use_batch)
+            L, D = numeric_ldl(K, sym)
 
             # third block: G dz - W dlam = -ri + s - sigma*mu/lam
             # (substituting ds from the complementarity linearization)
@@ -137,8 +136,7 @@ class InteriorPointSolver:
             if self.backend is not None:
                 step = self.backend.solve(L, D, rhs)
             else:
-                step = ldl_solve(L, D, sym, rhs,
-                                 use_batch=self.use_batch)
+                step = ldl_solve(L, D, sym, rhs)
             kkt_solves += 1
             dz = step[:n]
             dnu = step[n:n + m]

@@ -8,23 +8,30 @@ implements that pipeline:
 
 * :func:`min_degree_order` -- a greedy minimum-degree fill-reducing
   permutation,
-* :func:`symbolic_ldl` -- fill-in analysis for a fixed order,
-* :func:`numeric_ldl` / :func:`ldl_solve` -- the actual factorization
-  (no pivoting; the regularized quasidefinite KKT makes this sound) and
-  the triangular solves,
+* :func:`symbolic_ldl` -- fill-in analysis for a fixed order; the
+  result's :attr:`SymbolicLDL.factor_walk` is the static factor
+  schedule (which ``k`` terms update each ``D[j]`` and ``L[i, j]``, in
+  order), built on first use,
+* :func:`numeric_ldl` / :func:`ldl_solve` -- the factorization (no
+  pivoting; the regularized quasidefinite KKT makes this sound) and the
+  triangular solves, each one scalar loop over that walk.
 
-and is the data source for the `ldlsolve()` code generator in
-:mod:`repro.solvers.codegen`.
+The walk is written once: :func:`numeric_ldl` and the `ldlfactor()`
+code generator in :mod:`repro.solvers.codegen` both read it.  The
+`ldlsolve()` generator reads the same fill-in pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "min_degree_order",
+    "FactorColumn",
     "SymbolicLDL",
     "symbolic_ldl",
     "numeric_ldl",
@@ -55,6 +62,20 @@ def min_degree_order(pattern: np.ndarray) -> np.ndarray:
             adj[i] |= neigh - {i}
             adj[i].discard(pick)
     return order
+
+
+class FactorColumn(NamedTuple):
+    """Column ``j`` of the static factor walk (permuted coordinates).
+
+    ``d_terms`` holds the ``k`` of ``d_j = K_jj - sum_k L_jk*L_jk*d_k``
+    (row ``j`` of L, ascending).  ``entries`` holds one ``(i, ks)`` per
+    ``i`` in column ``j`` of L (ascending), where ``ks`` are the ``k`` of
+    ``L_ij = (K_ij - sum_k L_ik*L_jk*d_k) / d_j``: the columns rows ``i``
+    and ``j`` share, in ``d_terms`` order.
+    """
+
+    d_terms: tuple[int, ...]
+    entries: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -88,6 +109,19 @@ class SymbolicLDL:
             out[j].append(i)
         return out
 
+    @cached_property
+    def factor_walk(self) -> tuple[FactorColumn, ...]:
+        """The static factor schedule, one :class:`FactorColumn` per
+        pivot; computed on first use and kept on the instance."""
+        rows = self.rows()
+        row_sets = [set(r) for r in rows]
+        return tuple(
+            FactorColumn(tuple(rows[j]),
+                         tuple((i, tuple(k for k in rows[j]
+                                         if k in row_sets[i]))
+                               for i in col))
+            for j, col in enumerate(self.cols()))
+
 
 def symbolic_ldl(pattern: np.ndarray,
                  order: np.ndarray | None = None) -> SymbolicLDL:
@@ -118,198 +152,71 @@ def symbolic_ldl(pattern: np.ndarray,
     return SymbolicLDL(n, perm, tuple(lpat))
 
 
-def _batch_plan(sym: SymbolicLDL) -> dict:
-    """Static gather plan for the batched factor/solve kernels.
-
-    Everything here depends only on the sparsity (the CVXGEN premise:
-    the elimination schedule is known ahead of time), so it is computed
-    once per :class:`SymbolicLDL` and cached on the instance:
-
-    * per-row / per-column index arrays of L,
-    * for every L entry ``(i, j)``, aligned gather positions of the
-      update terms ``L[i,k] * L[j,k] * D[k]`` (``k`` in row ``i`` and
-      row ``j``), in the same ``k`` order as the scalar loop.
-    """
-    plan = getattr(sym, "_batch_plan", None)
-    if plan is not None:
-        return plan
-    rows = sym.rows()
-    cols = sym.cols()
-    entof = {ij: ent for ent, ij in enumerate(sym.l_pattern)}
-    rowpos = [{k: t for t, k in enumerate(r)} for r in rows]
-    by_col: list[list[tuple]] = [[] for _ in range(sym.n)]
-    for ent, (i, j) in enumerate(sym.l_pattern):
-        pos_i = rowpos[i]
-        pi, pj, ks = [], [], []
-        for t, k in enumerate(rows[j]):
-            ti = pos_i.get(k)
-            if ti is not None:
-                pi.append(ti)
-                pj.append(t)
-                ks.append(k)
-        by_col[j].append((i, ent,
-                          np.asarray(pi, dtype=np.intp),
-                          np.asarray(pj, dtype=np.intp),
-                          np.asarray(ks, dtype=np.intp)))
-    plan = {
-        "rows": rows,
-        "cols": cols,
-        "row_idx": [np.asarray(r, dtype=np.intp) for r in rows],
-        "col_idx": [np.asarray(c, dtype=np.intp) for c in cols],
-        "row_ent": [np.asarray([entof[(i, j)] for j in rows[i]],
-                               dtype=np.intp) for i in range(sym.n)],
-        "col_ent": [np.asarray([entof[(i, j)] for i in cols[j]],
-                               dtype=np.intp) for j in range(sym.n)],
-        "by_col": by_col,
-    }
-    object.__setattr__(sym, "_batch_plan", plan)
-    return plan
-
-
-def numeric_ldl(K: np.ndarray, sym: SymbolicLDL, *, use_batch: bool = True,
+def numeric_ldl(K: np.ndarray, sym: SymbolicLDL,
                 ) -> tuple[dict[tuple[int, int], float], np.ndarray]:
     """Factor ``K`` (symmetric, quasidefinite) as ``P' K P = L D L'``.
 
     Returns the sparse L entries (permuted coordinates) and the diagonal
-    D.  No pivoting is performed -- exactly the static schedule the
-    generated hardware/code uses.
-
-    ``use_batch`` evaluates the inner-product update terms through
-    vectorized elementwise gathers (:mod:`repro.batch` wiring).  The
-    term products and the serial subtraction order are unchanged, so
-    the factors are bit-identical to the scalar loop.
+    D.  No pivoting is performed -- the loop runs the static schedule
+    :attr:`SymbolicLDL.factor_walk`, the one the generated `ldlfactor()`
+    kernel unrolls.  Every update term is ``L_ik*L_jk*d_k`` (squares too:
+    ``**`` goes through libm ``pow``, which is not correctly rounded),
+    subtracted in walk order; where the kernel multiplies by ``dinv_j``
+    this divides by ``d_j``.
     """
-    if use_batch:
-        return _numeric_ldl_batch(K, sym)
-    n = sym.n
+    Kf = np.asarray(K, dtype=float)
     perm = sym.order
-    Kp = K[np.ix_(perm, perm)]
-    rows = sym.rows()
-    L: dict[tuple[int, int], float] = {}
-    D = np.zeros(n)
-    for j in range(n):
-        # d_j = K_jj - sum_k L_jk^2 d_k
-        acc = Kp[j, j]
-        for k in rows[j]:
-            acc -= L[(j, k)] ** 2 * D[k]
+    li, lj = np.array(sym.l_pattern, dtype=np.intp).reshape(-1, 2).T
+    # L and D start as P'KP's strict lower triangle and diagonal; the
+    # walk overwrites column j once every column before it is final
+    L = dict(zip(sym.l_pattern, Kf[perm[li], perm[lj]].tolist()))
+    D = Kf[perm, perm].tolist()
+    for j, (d_terms, entries) in enumerate(sym.factor_walk):
+        acc = D[j]
+        for k in d_terms:
+            ljk = L[(j, k)]
+            acc -= ljk * ljk * D[k]
         if acc == 0.0:
             raise ZeroDivisionError(
                 f"zero pivot at position {j}; regularize the KKT system")
         D[j] = acc
-        # column j of L
-        for i, jj in sym.l_pattern:
-            if jj != j:
-                continue
-            s = Kp[i, j]
-            row_i = set(rows[i])
-            for k in rows[j]:
-                if k in row_i:
-                    s -= L[(i, k)] * L[(j, k)] * D[k]
-            L[(i, j)] = s / D[j]
-    return L, D
-
-
-def _numeric_ldl_batch(K: np.ndarray, sym: SymbolicLDL,
-                       ) -> tuple[dict[tuple[int, int], float], np.ndarray]:
-    """Batched twin of the scalar ``numeric_ldl`` loop.
-
-    L values live in a flat array indexed by the static entry order;
-    each update term ``(L[i,k] * L[j,k]) * D[k]`` is formed elementwise
-    (same association as the scalar expression) and subtracted in the
-    same serial order, keeping every rounding identical.
-    """
-    n = sym.n
-    perm = sym.order
-    Kp = K[np.ix_(perm, perm)]
-    plan = _batch_plan(sym)
-    lval = np.zeros(len(sym.l_pattern))
-    D = np.zeros(n)
-    by_col = plan["by_col"]
-    row_ent = plan["row_ent"]
-    row_idx = plan["row_idx"]
-    for j in range(n):
-        acc = Kp[j, j]
-        ents = row_ent[j]
-        if len(ents):
-            ljk = lval[ents]
-            for t in ((ljk * ljk) * D[row_idx[j]]).tolist():
-                acc -= t
-        if acc == 0.0:
-            raise ZeroDivisionError(
-                f"zero pivot at position {j}; regularize the KKT system")
-        D[j] = acc
-        for i, ent, pi, pj, ks in by_col[j]:
-            s = Kp[i, j]
-            if len(ks):
-                li = lval[row_ent[i][pi]]
-                lj = lval[row_ent[j][pj]]
-                for t in ((li * lj) * D[ks]).tolist():
-                    s -= t
-            lval[ent] = s / D[j]
-    L = {ij: lval[ent] for ent, ij in enumerate(sym.l_pattern)}
-    return L, D
+        for i, ks in entries:
+            s = L[(i, j)]
+            for k in ks:
+                s -= L[(i, k)] * L[(j, k)] * D[k]
+            L[(i, j)] = s / acc
+    return L, np.array(D)
 
 
 def ldl_solve(L: dict[tuple[int, int], float], D: np.ndarray,
-              sym: SymbolicLDL, rhs: np.ndarray, *,
-              use_batch: bool = True) -> np.ndarray:
+              sym: SymbolicLDL, rhs: np.ndarray) -> np.ndarray:
     """Solve ``K x = rhs`` given the factorization.
 
-    This is the numeric twin of the generated `ldlsolve()` kernel:
-    forward substitution, diagonal scaling, backward substitution, all
-    on the fixed sparsity -- long chains of multiply-add operations.
-
-    ``use_batch`` gathers each substitution row's products elementwise
-    before the (still serial, hence bit-identical) subtractions.
+    Forward substitution ``L y = b``, diagonal scaling ``z = y / D`` and
+    backward substitution ``L' x = z`` on the fixed sparsity of
+    :attr:`SymbolicLDL.factor_walk`.  The generated `ldlsolve()` kernel
+    runs the same multiply-add chains but folds the scaling into the
+    backward pass as a multiply by ``dinv_i``, so it may round
+    differently.
     """
-    n = sym.n
-    perm = sym.order
-    b = rhs[perm].astype(float).copy()
-    if use_batch:
-        plan = _batch_plan(sym)
-        row_idx, col_idx = plan["row_idx"], plan["col_idx"]
-        lrow = [np.asarray([L[(i, j)] for j in plan["rows"][i]])
-                for i in range(n)]
-        lcol = [np.asarray([L[(j, i)] for j in plan["cols"][i]])
-                for i in range(n)]
-        y = np.zeros(n)
-        for i in range(n):
-            acc = b[i]
-            if len(lrow[i]):
-                for t in (lrow[i] * y[row_idx[i]]).tolist():
-                    acc -= t
-            y[i] = acc
-        z = y / D
-        x = np.zeros(n)
-        for i in range(n - 1, -1, -1):
-            acc = z[i]
-            if len(lcol[i]):
-                for t in (lcol[i] * x[col_idx[i]]).tolist():
-                    acc -= t
-            x[i] = acc
-        out = np.zeros(n)
-        out[perm] = x
-        return out
-    rows = sym.rows()
-    cols = sym.cols()
+    walk = sym.factor_walk
+    b = np.asarray(rhs, dtype=float)[sym.order].tolist()
     # forward: L y = b
-    y = np.zeros(n)
-    for i in range(n):
+    y: list[float] = []
+    for i, (ks, _) in enumerate(walk):
         acc = b[i]
-        for j in rows[i]:
+        for j in ks:
             acc -= L[(i, j)] * y[j]
-        y[i] = acc
-    # diagonal
-    z = y / D
-    # backward: L' x = z
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        acc = z[i]
-        for j in cols[i]:
+        y.append(acc)
+    # diagonal, then backward in place: L' x = z
+    x = (np.array(y) / D).tolist()
+    for i in range(sym.n - 1, -1, -1):
+        acc = x[i]
+        for j, _ in walk[i].entries:
             acc -= L[(j, i)] * x[j]
         x[i] = acc
-    out = np.zeros(n)
-    out[perm] = x
+    out = np.zeros(sym.n)
+    out[sym.order] = x
     return out
 
 

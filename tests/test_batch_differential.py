@@ -835,24 +835,6 @@ class TestConsumerWiring:
 
         assert fig14.run(runs=2) == fig14.run(runs=2, use_batch=False)
 
-    def test_ldl_identical(self):
-        from repro.solvers.ldl import ldl_solve, numeric_ldl, symbolic_ldl
-
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            n = int(rng.integers(3, 20))
-            A = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.4)
-            K = A @ A.T + np.eye(n) * (1.0 + rng.random())
-            sym = symbolic_ldl(np.abs(K) > 1e-12)
-            Ls, Ds = numeric_ldl(K, sym, use_batch=False)
-            Lb, Db = numeric_ldl(K, sym, use_batch=True)
-            assert Ls == Lb
-            assert np.array_equal(Ds, Db)
-            rhs = rng.normal(size=n)
-            assert np.array_equal(
-                ldl_solve(Ls, Ds, sym, rhs, use_batch=False),
-                ldl_solve(Lb, Db, sym, rhs, use_batch=True))
-
     def test_kkt_solve_convenience(self):
         from repro.solvers.kkt import (assemble_kkt, kkt_solve,
                                        kkt_sparsity)
@@ -869,8 +851,8 @@ class TestConsumerWiring:
         rhs = rng.normal(size=n + m + p)
         sym = symbolic_ldl(kkt_sparsity(prob))
         K = assemble_kkt(prob, w)
-        L, D = numeric_ldl(K, sym, use_batch=False)
-        ref = ldl_solve(L, D, sym, rhs, use_batch=False)
+        L, D = numeric_ldl(K, sym)
+        ref = ldl_solve(L, D, sym, rhs)
         assert np.array_equal(kkt_solve(prob, w, rhs, sym), ref)
         assert np.array_equal(kkt_solve(prob, w, rhs), ref)
 

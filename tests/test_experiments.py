@@ -1,6 +1,9 @@
 """Tests of the experiment harness (every table/figure runs and holds
 its headline shape)."""
 
+import re
+import time
+
 import pytest
 
 from repro.experiments import ablation, fig13, fig14, fig15, table1, table2
@@ -128,6 +131,17 @@ class TestRunnerCli:
         assert main(["table1", "fig13"]) == 0
         out = capsys.readouterr().out
         assert "table1" in out and "fig13" in out
+
+    def test_took_lines_time_each_experiment(self, monkeypatch, capsys):
+        monkeypatch.setitem(EXPERIMENTS, "slow",
+                            lambda args: time.sleep(0.3) or "slow-output")
+        monkeypatch.setitem(EXPERIMENTS, "instant",
+                            lambda args: "instant-output")
+        assert main(["slow", "instant", "--workers", "1"]) == 0
+        took = dict(re.findall(r"^\[(\w+) took ([\d.]+)s\]$",
+                               capsys.readouterr().out, re.M))
+        assert float(took["slow"]) >= 0.3
+        assert float(took["instant"]) < 0.1
 
     def test_experiments_registry_complete(self):
         assert set(EXPERIMENTS) >= {"table1", "fig13", "fig14",

@@ -1,10 +1,14 @@
 """Tests for KKT assembly and the sparse LDL^T machinery."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.solvers import (assemble_kkt, kkt_dimension, kkt_sparsity,
+from repro.solvers import (BENCHMARK_SIZES, InteriorPointSolver,
+                           assemble_kkt, generate_factor_kernel,
+                           generate_kernel, kkt_dimension, kkt_sparsity,
                            ldl_solve, ldl_solve_dense, min_degree_order,
                            numeric_ldl, symbolic_ldl, trajectory_problem)
 
@@ -128,3 +132,82 @@ class TestNumeric:
                            order=np.arange(2))
         with pytest.raises(ZeroDivisionError):
             numeric_ldl(K, sym)
+
+
+def _l_bits(L, sym) -> bytes:
+    return np.array([L[ij] for ij in sym.l_pattern]).tobytes()
+
+
+def reference_ldl(K, sym):
+    """Multiply-only LDL^T recurrence built from ``l_pattern`` alone:
+    every term is ``(L_ik*L_jk)*d_k``, subtracted with ``k`` ascending."""
+    n = sym.n
+    Kp = K[np.ix_(sym.order, sym.order)]
+    rows = [set() for _ in range(n)]
+    for i, j in sym.l_pattern:
+        rows[i].add(j)
+    L, D = {}, np.zeros(n)
+    for j in range(n):
+        d = Kp[j, j]
+        for k in sorted(rows[j]):
+            d -= L[j, k] * L[j, k] * D[k]
+        D[j] = d
+        for i in range(j + 1, n):
+            if j in rows[i]:
+                s = Kp[i, j]
+                for k in sorted(rows[i] & rows[j]):
+                    s -= L[i, k] * L[j, k] * D[k]
+                L[i, j] = s / d
+    return L, D
+
+
+class TestBenchmarkSizes:
+    """The three Fig. 15 problems through the factor walk."""
+
+    # sha256 of the generated ldlfactor() and ldlsolve() sources
+    SOURCES = {
+        "small": (
+            "2f401a5dc9e43656bab1d5fb712754421ddf5d51593e421b60bebe5a2a568c23",
+            "2a23a954f7eb14023d898aaddfc445fb710c7cc800eefae013268fbb3fc806a8",
+        ),
+        "medium": (
+            "340dc1218981468400114fd057165d69a859da1c8cbf31150f09c2a163b26fc7",
+            "fbf18a4c38652f3cd5990754e44f0a19d69ace29696ea994b598e7fcfc6250e6",
+        ),
+        "large": (
+            "53f82e2990de96a18e6d620216ef86e9458007605237e14b5632548b9fdfa5e2",
+            "aab3faa753165e10abe02cb136dca18222a7765a69fea4d024aac1227bc0cf08",
+        ),
+    }
+
+    def test_every_ipm_factorization_matches_reference(self, monkeypatch):
+        from repro.solvers import ipm
+
+        seen = []
+
+        def recording(K, sym):
+            L, D = numeric_ldl(K, sym)
+            seen.append((K, sym, L, D))
+            return L, D
+
+        monkeypatch.setattr(ipm, "numeric_ldl", recording)
+        results = [InteriorPointSolver(trajectory_problem(h, o)).solve()
+                   for _, h, o in BENCHMARK_SIZES]
+        assert all(r.converged for r in results)
+        assert [r.iterations for r in results] == [10, 10, 11]
+        assert len(seen) == 31
+        for K, sym, L, D in seen:
+            Lr, Dr = reference_ldl(K, sym)
+            assert _l_bits(L, sym) == _l_bits(Lr, sym)
+            assert D.tobytes() == Dr.tobytes()
+
+    @pytest.mark.parametrize("name,horizon,obstacles", BENCHMARK_SIZES)
+    def test_generated_sources_pinned(self, name, horizon, obstacles):
+        problem = trajectory_problem(horizon, obstacles)
+        solve = generate_kernel(problem)
+        # the ldlsolve() path, which Fig. 15 times, never builds the walk
+        assert "factor_walk" not in vars(solve.symbolic)
+        factor = generate_factor_kernel(problem)
+        digests = tuple(hashlib.sha256(k.source.encode()).hexdigest()
+                        for k in (factor, solve))
+        assert digests == self.SOURCES[name]
