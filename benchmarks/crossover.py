@@ -8,10 +8,16 @@ Every cell first checks that both engines return equal results (the
 ``CSFloat`` lists, the dot result, the serve replies) and raises
 ``AssertionError`` if they do not.
 
-* ``dot``: one ``dot_batch`` of N elements (hybrid vs tuple chain);
+* ``dot``: one ``dot_batch`` of N elements (one ``dot_many_words``
+  lane vs the tuple chain);
 * ``dot-lanes``: one coalesced serve dot payload of N dots of 4-16
   elements (whole-payload ``dot_many_words`` vs per-lane tuple);
-* ``fma``: one ``fma_batch`` of N lanes.
+* ``fma``: one ``fma_batch`` of N lanes;
+* ``chain@16`` and ``chain@1024``: the accumulator recurrence of one
+  ``VectorCSKernel.dot_many_words`` call over N lanes of 16 or 1024
+  steps, on one set of product planes: across lanes (``_dot_chain``)
+  vs lane by lane through ``FastCSKernel.fma`` (``_lane_chains``).  It
+  sets ``VectorCSKernel.CHAIN_LANES``.
 
 Run from the repository root::
 
@@ -25,14 +31,18 @@ import random
 import statistics
 import time
 
-from repro.batch import dot_batch, fma_batch
+import numpy as np
+
+from repro.batch import dot_batch, fma_batch, vector_kernel_for
 from repro.fma import FcsFmaUnit, PcsFmaUnit
 from repro.fp import word_to_fp
 from repro.serve.executor import execute_payload
 
 SIZES = {"dot": (768, 1024, 1280, 1536, 1792, 2048),
          "dot-lanes": (56, 64, 72, 80, 96, 128),
-         "fma": (384, 448, 512, 576, 640, 704, 768, 1024, 4096)}
+         "fma": (384, 448, 512, 576, 640, 704, 768, 1024, 4096),
+         "chain@16": (16, 32, 48, 64, 80, 96, 128),
+         "chain@1024": (16, 32, 48, 64, 80, 96, 128)}
 
 
 def _word(rng: random.Random) -> int:
@@ -42,6 +52,16 @@ def _word(rng: random.Random) -> int:
 
 def _calls(op: str, fmt: str, unit, n: int, rng: random.Random):
     """``{backend: zero-argument call}`` for one cell."""
+    if op.startswith("chain@"):
+        # "vector": across lanes; "tuple": lane by lane through the tuple
+        # kernel's fma, both on the same planes and products
+        vk = vector_kernel_for(unit)
+        a, b = (np.array([[_word(rng) for _ in range(n)]
+                          for _ in range(int(op[6:]))], np.uint64)
+                for _ in "ab")
+        d = vk._dot_planes(a, b, None)
+        return {"vector": lambda: vk._dot_chain(d)[0],
+                "tuple": lambda: vk._lane_chains(d, range(n))}
     if op == "dot":
         a, b = ([word_to_fp(_word(rng)) for _ in range(n)] for _ in "ab")
         return {be: (lambda be=be: dot_batch(a, b, unit, backend=be))

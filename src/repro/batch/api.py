@@ -207,8 +207,10 @@ def dot_batch(a: Sequence[FPValue], b: Sequence[FPValue],
     :meth:`~repro.batch.cskernel.FastCSKernel.to_ieee` on the fast
     engines, by :func:`~repro.fma.convert.cs_to_ieee` on the faithful
     one).  ``backend`` as in
-    :func:`fma_batch`; the vector engine runs the product trees for all
-    steps as one ndarray pass (:meth:`VectorCSKernel.dot_hybrid`).
+    :func:`fma_batch`; the vector engine runs a binary64 dot as one lane
+    of :meth:`VectorCSKernel.dot_many_words` (the product trees for all
+    steps as one ndarray pass), and a dot holding any other format on
+    the tuple kernel.
     """
     if len(a) != len(b):
         raise ValueError("vector length mismatch")
@@ -227,11 +229,13 @@ def dot_batch(a: Sequence[FPValue], b: Sequence[FPValue],
         return cs_to_ieee(acc)
     kernel = kernel_for(unit)
     with _tm.span("batch.dot.kernel"):
-        if engine == "vector":
-            if tm is not None:
-                tm.count("batch.vector.lanes")
-            acc = vector_kernel_for(unit).dot_hybrid(a, b)
+        if engine == "vector" and all(x.fmt is BINARY64 for x in (*a, *b)):
+            words = np.array([[fp_to_word(x) for x in xs] for xs in (a, b)],
+                             np.uint64).reshape(2, len(a), 1)
+            acc = vector_kernel_for(unit).dot_many_words(*words)[0]
         else:
+            if engine == "vector":
+                count_lanes(1, {"non-binary64": 1})
             acc = kernel.dot_tuple(a, b)
     return kernel.to_ieee(acc)
 

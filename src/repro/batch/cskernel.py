@@ -36,7 +36,6 @@ operand is ``(cls, sign, unbiased_exp, significand)``.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import repeat
 from operator import or_
 from typing import Sequence
 
@@ -340,7 +339,8 @@ class FastCSKernel:
         ``b``'s significand (batch callers hoist it out of inner loops).
         ``prod`` optionally injects the precomputed *full-window-width*
         CS product pair ``(S, C)`` of ``cv`` with ``b``'s significand
-        (the vector backend batches the trees across a whole dot chain).
+        (the lane engine's per-lane dot chain, which runs the trees for
+        every step as one ndarray pass).
         Masking commutes upward through a CSA tree, so the full-width
         pair masked down reproduces the per-modulus trees bit for bit;
         callers must only pass ``prod`` when probes and the guard are
@@ -535,16 +535,12 @@ class FastCSKernel:
 
     # -- batch entry points ----------------------------------------------
 
-    def dot_tuple(self, a, b, prods=None) -> tuple:
+    def dot_tuple(self, a, b) -> tuple:
         """Fused dot product, accumulator kept as an internal tuple.
 
         Bit-identical to the
         :meth:`repro.fma.dotprod.FusedDotProductUnit.dot` accumulator
-        chain ``acc = fma(acc, a_i, lift(b_i))``.  ``prods`` optionally
-        yields each step's :meth:`fma` ``prod`` pair, as
-        :meth:`~repro.batch.vector.VectorCSKernel.dot_hybrid` does with
-        the products it runs vectorized; a step that is not two normal
-        binary64 elements ignores its pair.
+        chain ``acc = fma(acc, a_i, lift(b_i))``.
         """
         shift = self.ieee_shift
         mmask = self.mmask
@@ -553,7 +549,7 @@ class FastCSKernel:
         lift_b = self.lift_b
         acc = (CS_ZERO, 0, 0, 0, 0, 0, 0)
         one = 1 << 52
-        for ai, bi, prod in zip(a, b, prods or repeat(None)):
+        for ai, bi in zip(a, b):
             if (ai.cls is FpClass.NORMAL and bi.cls is FpClass.NORMAL
                     and ai.fmt is BINARY64 and bi.fmt is BINARY64):
                 m = (bi.fraction | one) << shift
@@ -563,7 +559,7 @@ class FastCSKernel:
                       0, 0, 0, 0)
                 bt = (CS_NORMAL, ai.sign, ai.biased_exponent - 1023,
                       ai.fraction | one)
-                acc = fma(acc, bt, ct, None, prod)
+                acc = fma(acc, bt, ct)
             else:
                 acc = fma(acc, lift_b(ai), lift_ieee(bi))
         return acc

@@ -43,14 +43,16 @@ lane against the ``CSNumber``/``CSFloat`` invariants.
 Divergence policy
 -----------------
 The lane engine reads binary64 operands only: :meth:`lift_words`,
-:meth:`b_words` and :meth:`dot_many_words` take binary64 bit words, and
-:meth:`dot_hybrid` hands a dot holding any other format to the tuple
-kernel.  Keeping other inputs off the word lift is the caller's job:
+:meth:`b_words` and :meth:`dot_many_words` take binary64 bit words.
+Keeping other inputs off the word lift is the caller's job:
 :func:`repro.batch.fma_batch` re-runs CS-operand and non-binary64
-lanes on the tuple kernel.
-Inside the engine, lanes with NaN/Inf operands and dot lanes whose
-accumulator overflows mid-chain are masked out and re-run on the tuple
-kernel, so the result stream is bit-identical lane for lane.  Armed
+lanes on the tuple kernel, and :func:`repro.batch.dot_batch` runs a dot
+holding any other format there.  Inside the engine, fma lanes with
+NaN/Inf operands are masked out and re-run on the tuple kernel.  A dot
+lane's accumulator chain runs across lanes or lane by lane through
+:meth:`FastCSKernel.fma`, whose own special cases take NaN/Inf and
+window overflow; the across-lane chain hands such lanes to the per-lane
+one.  So the result stream is bit-identical lane for lane.  Armed
 probes / guard residue checkers are handled one level up
 (:func:`repro.batch.api.select_engine` sends the whole call to the tuple
 kernel, keeping every fault-injection site live); this module assumes it
@@ -60,12 +62,11 @@ runs disarmed and installs no hooks.
 from __future__ import annotations
 
 import threading
+from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
 
-from ..fp.formats import BINARY64
-from ..fp.value import FpClass, fp_to_word, word_to_fp
 from ..telemetry import core as _tm
 from .cskernel import (CS_INF, CS_NAN, CS_NORMAL, CS_ZERO, FastCSKernel,
                        kernel_for)
@@ -107,6 +108,16 @@ def count_lanes(n: int, deferred: dict) -> None:
         for reason, k in deferred.items():
             if k:
                 tm.count(f"batch.vector.deferred.{reason}", k)
+
+
+def _limbs_to_ints(limbs) -> list:
+    """``(n, k)`` little-endian 64-bit limbs -> one Python int per row,
+    each one ``int.from_bytes`` over the row's bytes (the ``bytes``
+    items of a NumPy ``S`` view drop trailing zero bytes, which are the
+    high ones)."""
+    rows = np.ascontiguousarray(limbs, "<u8")
+    rows = rows.view(f"S{8 * rows.shape[1]}").ravel().tolist()
+    return [int.from_bytes(r, "little") for r in rows]
 
 
 _U64 = np.uint64
@@ -662,33 +673,82 @@ class VectorCSKernel:
     def lower_lanes(self, cols):
         """CS cols -> list of internal kernel tuples, built a whole column
         at a time: the mantissa digits are packed into 64-bit limbs with
-        array ops, every column becomes Python ints with one ``tolist``,
-        and only the limbs of each lane are joined in Python.  As in
-        :meth:`FastCSKernel.fma`, a non-NORMAL lane carries only its
+        array ops and read with one ``int.from_bytes`` per lane, and
+        every other column becomes Python ints with one ``tolist``.  As
+        in :meth:`FastCSKernel.fma`, a non-NORMAL lane carries only its
         class and sign hint (a NORMAL lane's hint is already 0)."""
         cls = cols["cls"]
         normal = cls == CS_NORMAL
         keep = np.where(normal, ~_U64(0), _U64(0))
+        m, mc = (self._digits_to_limbs(cols[k] & keep[:, None])
+                 for k in ("m", "mc"))
         return list(zip(cls.tolist(),
                         np.where(normal, cols["exp"], 0).tolist(),
-                        self._digits_to_ints(cols["m"] & keep[:, None]),
-                        self._digits_to_ints(cols["mc"] & keep[:, None]),
+                        _limbs_to_ints(m), _limbs_to_ints(mc),
                         (cols["rs"] & keep).tolist(),
                         (cols["rc"] & keep).tolist(),
                         cols["sh"].tolist()))
 
-    def _digits_to_ints(self, x) -> list:
-        """``(n, K)`` block-width digits -> one Python int per lane."""
-        limbs = self._digits_to_limbs(x).T.tolist()
-        out = limbs.pop()
-        while limbs:
-            out = [hi << 64 | lo for hi, lo in zip(out, limbs.pop())]
-        return out
-
     # -- fused dot products ---------------------------------------------
 
-    def _dot_products(self, asig, asign, bsig, bsign):
-        """Precompute every step's full-width product planes.
+    #: lanes from which :meth:`dot_many_words` runs the accumulator
+    #: recurrence across lanes (:meth:`_dot_chain`) instead of lane by
+    #: lane (:meth:`_lane_chains`): the smallest lane count at which the
+    #: across-lane chain won for both units in every run of
+    #: ``benchmarks/crossover.py`` (rows ``chain@16`` and ``chain@1024``,
+    #: docs/PERFORMANCE.md)
+    CHAIN_LANES = 80
+
+    def dot_many_words(self, a_words, b_words, lens=None):
+        """Independent fused dot products over padded ``(T, N)`` binary64
+        bit-word planes (step-major -- the serve wire format).  Lane
+        ``i`` consumes the first ``lens[i]`` steps.  Returns one internal
+        accumulator tuple per lane, bit-identical to
+        :meth:`FastCSKernel.dot_tuple` over ``word_to_fp`` of each element
+        (subnormal encodings flush to signed zero).
+
+        Every step's products run as one pass over all lanes.  The
+        accumulator recurrence then runs where it is cheapest: below
+        :attr:`CHAIN_LANES` lanes lane by lane, from it up across lanes,
+        where lanes holding NaN/Inf and lanes whose accumulator
+        overflows leave for the per-lane chain."""
+        d = self._dot_planes(a_words, b_words, lens)
+        n = d.lens.shape[0]
+        if n == 0:
+            return []
+        if n < self.CHAIN_LANES:
+            count_lanes(n, {})
+            return self._lane_chains(d, range(n))
+        out, overflow = self._dot_chain(d)
+        count_lanes(n, {"special": int(d.spec.sum()),
+                        "window-overflow": int(overflow.sum())})
+        redo = np.flatnonzero(d.spec | overflow).tolist()
+        for i, t in zip(redo, self._lane_chains(d, redo)):
+            out[i] = t
+        return out
+
+    def _dot_planes(self, a_words, b_words, lens):
+        """Classify the word planes and run every step's products: what
+        both chains read."""
+        a_words = np.ascontiguousarray(a_words, np.uint64)
+        b_words = np.ascontiguousarray(b_words, np.uint64)
+        if a_words.shape != b_words.shape or a_words.ndim != 2:
+            raise ValueError("word planes must share one (T, N) shape")
+        T, N = a_words.shape
+        lens = (np.full(N, T, np.int64) if lens is None
+                else np.asarray(lens, np.int64))
+        step_live = np.arange(T, dtype=np.int64)[:, None] < lens[None, :]
+        (a, spec_a), (b, spec_b) = (self.b_words(w, step_live)
+                                    for w in (a_words, b_words))
+        S, C, p = self._dot_products(a, b)
+        return SimpleNamespace(
+            a=a, b=b, lens=lens, S=S, C=C, p=p,
+            u=a["exp"] + b["exp"] - (self.bsig - 1) - self.frac,
+            spec=(spec_a | spec_b).any(axis=0))
+
+    def _dot_products(self, a, b):
+        """Precompute every step's full-width product planes from the
+        operands' ``(T, N)`` :meth:`b_words` cols.
 
         In the dot chain the multiplicand is the exact lift of ``b_i``
         (its rounding block is zero, so the deferred decision is zero)
@@ -696,14 +756,16 @@ class VectorCSKernel:
         the accumulator, which is what makes the products batchable.
         Every normal ``b_i`` is lifted, as the faithful dot lifts it,
         and a zero ``a_i`` gives a zero product."""
+        asig, asign, bsig, bsign = a["sig"], a["sign"], b["sig"], b["sign"]
         T, N = asig.shape
         S = np.zeros((T * N, self.D), np.uint64)
         C = np.zeros((T * N, self.D), np.uint64)
         idx = np.flatnonzero(bsig)
         # chunked so each slice's staging + tree working set stays
-        # L3-resident (at millions of products the gathers/scatters
-        # otherwise stream from DRAM)
-        CH = 128 * self.TILE
+        # bounded: about 460 bytes per product (FCS), so 30 MB a slice;
+        # a 128 * TILE slice measured no faster and raised the peak RSS
+        # of a 32-lane dot@4096 from 118 to 150 MB (FCS)
+        CH = 64 * self.TILE
         for a0 in range(0, idx.size, CH):
             sl = idx[a0:a0 + CH]
             neg = (asign.ravel()[sl] ^ bsign.ravel()[sl]).astype(bool)
@@ -746,56 +808,13 @@ class VectorCSKernel:
         exp = np.where(nrm, be.astype(np.int64) - 1023, 0)
         return sig, w >> _U64(63), exp, spec
 
-    def dot_many_words(self, a_words, b_words, lens=None):
-        """Independent fused dot products over padded ``(T, N)`` binary64
-        bit-word planes (step-major -- the serve wire format, fully
-        vectorized staging).  Lane ``i`` consumes the first ``lens[i]``
-        steps.  Returns one internal accumulator tuple per lane,
-        bit-identical to :meth:`FastCSKernel.dot_tuple` over
-        ``word_to_fp`` of each element (subnormal encodings flush to
-        signed zero); lanes holding Inf/NaN and lanes whose accumulator
-        overflows re-run on ``dot_tuple``."""
-        a_words = np.ascontiguousarray(a_words, np.uint64)
-        b_words = np.ascontiguousarray(b_words, np.uint64)
-        if a_words.shape != b_words.shape or a_words.ndim != 2:
-            raise ValueError("word planes must share one (T, N) shape")
-        T, N = a_words.shape
-        if N == 0:
-            return []
-        lens = (np.full(N, T, np.int64) if lens is None
-                else np.asarray(lens, np.int64))
-        step_live = np.arange(T, dtype=np.int64)[:, None] < lens[None, :]
-        asig, asign, aexp, spec_a = self._word_planes(a_words, step_live)
-        bsig, bsign, bexp, spec_b = self._word_planes(b_words, step_live)
-        redo = (spec_a | spec_b).any(axis=0)
-        n_spec = int(redo.sum())
-        live = np.flatnonzero(~redo)
-        if n_spec:
-            asig, asign, aexp, bsig, bsign, bexp = (
-                p[:, live] for p in (asig, asign, aexp, bsig, bsign, bexp))
-        S_all, C_all, p_all = self._dot_products(asig, asign, bsig, bsign)
-        u_all = aexp + bexp - (self.bsig - 1) - self.frac
-        cols, overflow = self._dot_chain(lens[live], S_all, C_all, p_all,
-                                         u_all)
-        redo[live] = overflow
-        out = [None] * N
-        for i, t in zip(live.tolist(), self.lower_lanes(cols)):
-            out[i] = t
-        count_lanes(N, {"special": n_spec,
-                        "window-overflow": int(redo.sum()) - n_spec})
-        if redo.any():
-            for i in np.flatnonzero(redo):
-                L = int(lens[i])
-                out[i] = self.kernel.dot_tuple(
-                    [word_to_fp(int(w)) for w in a_words[:L, i]],
-                    [word_to_fp(int(w)) for w in b_words[:L, i]])
-        return out
-
-    def _dot_chain(self, lens, S_all, C_all, p_all, u_all):
-        """The sequential accumulator chain ``acc = fma(acc, a_t, b_t)``
-        over vectorized lanes, the accumulator kept as CS cols.  Returns
-        each lane's final cols and the lanes that overflowed (the caller
-        re-runs those on the tuple kernel)."""
+    def _dot_chain(self, d):
+        """The accumulator chain ``acc = fma(acc, a_t, b_t)`` across
+        lanes, one step at a time, the accumulator kept as CS cols.
+        Returns each lane's final tuple and the lanes that overflowed;
+        those and the lanes holding NaN/Inf (never run here) are the
+        caller's to re-run."""
+        lens, p_all = d.lens, d.p
         T, n = p_all.shape
         acc = {"cls": np.zeros(n, np.int64), "exp": np.zeros(n, np.int64),
                "m": np.zeros((n, self.MD), np.uint64),
@@ -805,14 +824,15 @@ class VectorCSKernel:
         final = {k: v.copy() for k, v in acc.items()}  # empty lanes: ZERO
         overflow = np.zeros(n, bool)
         for t in range(T):
-            # finished and overflowed lanes run as trivial (ZERO) steps
-            upd = (t < lens) & ~overflow
+            # finished, special and overflowed lanes run as trivial
+            # (ZERO) steps
+            upd = (t < lens) & ~overflow & ~d.spec
             if not upd.any():
                 break
             au, a_nz = self._collapse(acc)
             a_nz &= upd
             p_nz = p_all[t] & upd
-            w = self._window(S_all[t], C_all[t], u_all[t], p_nz, au, a_nz,
+            w = self._window(d.S[t], d.C[t], d.u[t], p_nz, au, a_nz,
                              acc["exp"])
             acc = self._result(w, ~p_nz & ~a_nz, acc)
             overflow |= acc["cls"] == CS_INF
@@ -820,29 +840,47 @@ class VectorCSKernel:
             if fin.any():
                 for k, v in acc.items():
                     final[k][fin] = v[fin]
-        return final, overflow
+        return self.lower_lanes(final), overflow
 
-    # -- single-dot hybrid ----------------------------------------------
-
-    def dot_hybrid(self, a, b):
-        """One fused dot product: the products (the dominant cost of the
-        tuple chain) run vectorized across all steps, and
-        :meth:`FastCSKernel.dot_tuple` runs the ~35-op window recurrence
-        with each step's product pair injected.  Bit-identical to
-        ``dot_tuple`` alone, which runs dots holding NaN/Inf or
-        non-binary64 elements instead."""
-        kernel = self.kernel
-        ok = (FpClass.NORMAL, FpClass.ZERO)
-        if not a or any(x.fmt is not BINARY64 or x.cls not in ok
-                        for x in (*a, *b)):
-            return kernel.dot_tuple(a, b)
-        words = (np.array([fp_to_word(x) for x in xs], np.uint64)[:, None]
-                 for xs in (a, b))
-        (asig, asign, _, _), (bsig, bsign, _, _) = (
-            self._word_planes(w, True) for w in words)
-        S, C, _p = self._dot_products(asig, asign, bsig, bsign)
-        return kernel.dot_tuple(a, b, zip(self._digits_to_ints(S[:, 0]),
-                                          self._digits_to_ints(C[:, 0])))
+    def _lane_chains(self, d, lanes) -> list:
+        """The accumulator chain of each lane in ``lanes``, lane by lane:
+        :meth:`FastCSKernel.fma` with each step's product pair injected,
+        whose own special cases take NaN/Inf elements and window
+        overflow, so the chain is :meth:`FastCSKernel.dot_tuple`'s.  The
+        lanes' ports and product limbs are packed in bulk, in groups of
+        about ``16 * TILE`` elements (a few MB of staging); a lane's
+        Python ints are built when its turn comes."""
+        lanes = np.asarray(lanes, np.intp)
+        T = d.S.shape[0]
+        group = max(1, 16 * self.TILE // max(T, 1))
+        fma = self.kernel.fma
+        out = []
+        for g in range(0, lanes.size, group):
+            sel = lanes[g:g + group]
+            n = sel.size
+            # the B port takes a_t as it is, the C port the lift of b_t
+            bp, cp = ({k: v[:, sel] for k, v in x.items()}
+                      for x in (d.a, d.b))
+            m = self._lift_sig(cp["sig"].ravel(), cp["sign"].ravel() == 1,
+                               self.MD)
+            # step-major limb rows: lane j's steps are rows j, j + n, ...
+            m, S, C = (self._digits_to_limbs(x.reshape(-1, x.shape[-1]))
+                       for x in (m, d.S[:, sel], d.C[:, sel]))
+            for j, i in enumerate(sel.tolist()):
+                L = int(d.lens[i])
+                rows = slice(j, j + n * L, n)
+                bts = zip(*(bp[k][:L, j].tolist()
+                            for k in ("cls", "sign", "exp", "sig")))
+                cts = zip(cp["cls"][:L, j].tolist(),
+                          cp["exp"][:L, j].tolist(), _limbs_to_ints(m[rows]),
+                          repeat(0), repeat(0), repeat(0),
+                          cp["sign"][:L, j].tolist())
+                prods = zip(_limbs_to_ints(S[rows]), _limbs_to_ints(C[rows]))
+                acc = (CS_ZERO, 0, 0, 0, 0, 0, 0)
+                for bt, ct, prod in zip(bts, cts, prods):
+                    acc = fma(acc, bt, ct, None, prod)
+                out.append(acc)
+        return out
 
     # -- vectorized IEEE word codecs ------------------------------------
 
@@ -863,13 +901,14 @@ class VectorCSKernel:
               "rc": zlane.copy(), "sh": bcols["sign"].astype(np.int64)}
         return cs, bcols, special
 
-    def b_words(self, words):
+    def b_words(self, words, live=True):
         """binary64 bit patterns -> (b cols, special mask): the IEEE B
-        port's columns, bit-identical to ``word_to_fp`` + ``lift_b``.
-        The B port keeps the binary64 significand as it is, so there is
-        no CS digit lift and no geometry too narrow for it."""
+        port's columns, bit-identical to ``word_to_fp`` + ``lift_b``;
+        words off ``live`` read as zeros.  The B port keeps the binary64
+        significand as it is, so there is no CS digit lift and no
+        geometry too narrow for it."""
         words = np.asarray(words, np.uint64)
-        sig, sign, exp, special = self._word_planes(words, True)
+        sig, sign, exp, special = self._word_planes(words, live)
         nan = special & ((words & self.fmask) != 0)
         cls = np.where(sig != 0, CS_NORMAL,
                        np.where(special, np.where(nan, CS_NAN, CS_INF),

@@ -16,17 +16,26 @@ Two coupled halves:
 Run a campaign with ``python -m repro.faults``; see ``docs/FAULTS.md``.
 """
 
-from .campaign import (CampaignConfig, aggregate, load_checkpoint,
-                       plan_injections, render_text, run_campaign,
-                       run_injection)
-from .resilient import ResilientRun, RetryPolicy, WorkResult, run_resilient
-from .sites import (SITE_CLASSES, SITES, FaultSite, flip_word,
-                    make_transform, select_sites)
+from importlib import import_module
 
-__all__ = [
-    "CampaignConfig", "plan_injections", "run_injection", "run_campaign",
-    "aggregate", "render_text", "load_checkpoint",
-    "FaultSite", "SITES", "SITE_CLASSES", "select_sites", "flip_word",
-    "make_transform",
-    "RetryPolicy", "WorkResult", "ResilientRun", "run_resilient",
-]
+from .resilient import ResilientRun, RetryPolicy, WorkResult, run_resilient
+
+#: the campaign half's names, by module, imported on first use: a user
+#: of the resilient executor alone (the serving layer) loads neither the
+#: campaign engine nor the conformance sweep it imports
+_LAZY = {**dict.fromkeys(("CampaignConfig", "plan_injections",
+                          "run_injection", "run_campaign", "aggregate",
+                          "render_text", "load_checkpoint"), "campaign"),
+         **dict.fromkeys(("FaultSite", "SITES", "SITE_CLASSES",
+                          "select_sites", "flip_word", "make_transform"),
+                         "sites")}
+
+__all__ = [*_LAZY, "RetryPolicy", "WorkResult", "ResilientRun",
+           "run_resilient"]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)

@@ -54,7 +54,9 @@ def min_degree_order(pattern: np.ndarray) -> np.ndarray:
     alive = set(range(n))
     order = np.empty(n, dtype=int)
     for k in range(n):
-        pick = min(alive, key=lambda i: (len(adj[i] & alive), i))
+        # an alive node's set holds alive nodes only: each pivot leaves
+        # the sets of its neighbours, which are all the nodes holding it
+        pick = min(alive, key=lambda i: (len(adj[i]), i))
         order[k] = pick
         alive.discard(pick)
         neigh = adj[pick] & alive

@@ -39,10 +39,13 @@ from hypothesis import strategies as st
 from repro import probes
 from repro.batch import (BACKENDS, dot_batch, fma_batch, select_engine,
                          vector_kernel_for)
+from repro.batch.cskernel import CS_INF, CS_NAN, CS_NORMAL, CS_ZERO
 from repro.batch.engines import BACKEND_ENV
+from repro.batch.vector import VectorCSKernel
 from repro.fma import CSFmaUnit, FcsFmaUnit, PcsFmaUnit, cs_to_ieee
 from repro.fma.dotprod import FusedDotProductUnit
-from repro.fp import BINARY32, BINARY64, EXTENDED68, FpClass, FPValue
+from repro.fp import (BINARY32, BINARY64, EXTENDED68, FpClass, FPValue,
+                      word_to_fp)
 from repro.guard.residue import guarding
 from repro.telemetry import collecting
 from test_fma_parametrized import VARIANTS
@@ -166,14 +169,111 @@ def test_fma_lane_batches_bit_identical(triples, unit_id):
 @given(st.lists(st.tuples(word_strategy(), word_strategy()),
                 min_size=1, max_size=24),
        st.sampled_from(unit_ids))
-def test_dot_hybrid_bit_identical(pairs, unit_id):
+def test_dot_vector_bit_identical(pairs, unit_id):
     unit = UNITS[unit_ids.index(unit_id)]
-    vk = vector_kernel_for(unit)
     a = [from_word(w) for w, _x in pairs]
     b = [from_word(w) for _x, w in pairs]
-    got = cs_to_ieee(vk.kernel.lower(vk.dot_hybrid(a, b)))
+    got = dot_batch(a, b, unit=unit, backend="vector")
     ref = dot_batch(a, b, unit=unit, backend="tuple")
     assert word_of(got) == word_of(ref)
+
+
+# ---------------------------------------------------------------------------
+# the two dot chains
+
+#: ``dot_many_words`` runs its recurrence lane by lane below this many
+#: lanes and across lanes from it up
+CHAIN_LANES = VectorCSKernel.CHAIN_LANES
+QNAN, PINF, NINF = 0x7FF8000000000000, 0x7FF0000000000000, 0xFFF0000000000000
+MAX_NORMAL = 0x7FEFFFFFFFFFFFFF
+CHAIN_STEPS = 10
+#: the lanes below holding a NaN/Inf element within their length, and the
+#: one whose accumulator overflows the window
+SPECIAL_LANES, OVERFLOW_LANES = 5, 1
+
+
+def chain_planes(n: int, seed: int):
+    """``(a, b, lens)``: ``n`` word lanes of up to :data:`CHAIN_STEPS`
+    steps, the edge cases first and random normals after them."""
+    rng = random.Random(seed)
+    T = CHAIN_STEPS
+    a, b = (np.array([_normal_words(rng, n) for _ in range(T)], np.uint64)
+            for _ in "ab")
+    lens = np.full(n, T, np.int64)
+    a[3, 0] = QNAN                          # NaN mid-chain
+    a[5, 1] = PINF                          # one Inf product
+    b[T - 1, 2] = NINF                      # Inf at the last step
+    a[2, 3], b[2, 3] = PINF, 1 << 63        # Inf times -0: NaN
+    a[1, 4], a[6, 4] = PINF, NINF           # opposite Inf products: NaN
+    b[1, 4] = b[6, 4] = 0x3FF0000000000000
+    a[4, 5] = b[4, 5] = MAX_NORMAL          # accumulator overflows
+    a[:, 6] = [rng.choice((0, 1 << 63)) for _ in range(T)]  # signed zeros
+    a[::2, 7] = [0x1, 0x800FFFFFFFFFFFFF, 0x8000000000000001,
+                 0x000FFFFFFFFFFFFF, 0x0008000000000000]   # subnormals
+    a[1:, 8] = b[1:, 8] = 0                 # one product, then +0s
+    a[1, 8], b[1, 8] = a[0, 8] ^ (1 << 63), b[0, 8]   # exact cancellation
+    for lane, k in ((9, 0), (10, 1), (11, T // 2)):   # ragged lengths
+        lens[lane] = k
+        a[k:, lane] = QNAN                  # padding is never read
+    return a, b, lens
+
+
+class TestDotChains:
+    """``dot_many_words`` runs its accumulator recurrence lane by lane
+    below :data:`CHAIN_LANES` lanes and across lanes from it up.  The
+    same word lanes through both chains equal
+    :meth:`FastCSKernel.dot_tuple` over ``word_to_fp`` of their words,
+    tuple for tuple."""
+
+    @pytest.mark.parametrize("n", [CHAIN_LANES - 1, CHAIN_LANES],
+                             ids=["lane-by-lane", "across-lanes"])
+    @pytest.mark.parametrize("name", ["pcs", "fcs", "pcs-dense",
+                                      "fcs-wide"])
+    def test_lanes_equal_dot_tuple(self, name, n):
+        unit = {"pcs": UNITS[0], "fcs": UNITS[1]}.get(name)
+        unit = unit or OFF_PAPER[name]
+        a, b, lens = chain_planes(CHAIN_LANES, seed=5)
+        a, b, lens = a[:, :n], b[:, :n], lens[:n]
+        vk = vector_kernel_for(unit)
+        with collecting() as t:
+            got = vk.dot_many_words(a, b, lens)
+        kernel = vk.kernel
+        for i in range(n):
+            L = int(lens[i])
+            ref = kernel.dot_tuple([word_to_fp(int(w)) for w in a[:L, i]],
+                                   [word_to_fp(int(w)) for w in b[:L, i]])
+            assert got[i] == ref, i
+        assert all(type(f) is int for x in got for f in x)
+        classes = {x[0] for x in got}
+        assert {CS_ZERO, CS_NORMAL, CS_INF, CS_NAN} <= classes
+        counters = t.snapshot().counters
+        across = n >= CHAIN_LANES
+        assert counters.get("batch.vector.deferred.special", 0) == (
+            SPECIAL_LANES if across else 0)
+        assert counters.get("batch.vector.deferred.window-overflow", 0) == (
+            OVERFLOW_LANES if across else 0)
+        assert counters["batch.vector.lanes"] == n - (
+            SPECIAL_LANES + OVERFLOW_LANES if across else 0)
+
+    @pytest.mark.parametrize("n", [1, CHAIN_LANES],
+                             ids=["lane-by-lane", "across-lanes"])
+    def test_no_steps(self, n):
+        """Planes of zero steps, and the empty ``dot_batch``: ZERO."""
+        vk = vector_kernel_for(UNITS[1])
+        w = np.zeros((0, n), np.uint64)
+        assert vk.dot_many_words(w, w) == [(CS_ZERO, 0, 0, 0, 0, 0, 0)] * n
+        assert word_of(dot_batch([], [], UNITS[1], backend="vector")) == 0
+
+    @pytest.mark.parametrize("n", [CHAIN_LANES - 1, CHAIN_LANES],
+                             ids=["lane-by-lane", "across-lanes"])
+    def test_narrow_geometry_refused(self, n):
+        """``pcs-sp`` cannot lift a binary64 significand on either
+        side of the crossover."""
+        a, b, lens = chain_planes(n, seed=6)
+        with pytest.raises(ValueError, match="binary64 significand too "
+                           "wide for pcs-sp operand"):
+            vector_kernel_for(OFF_PAPER["pcs-sp"]).dot_many_words(a, b,
+                                                                  lens)
 
 
 # ---------------------------------------------------------------------------

@@ -274,3 +274,27 @@ def test_good_entry_roundtrips(tmp_path):
     cache.put("k", payload)
     assert cache.get("k") == payload
     assert len(cache) == 1
+
+
+def test_serving_loads_the_executor_without_the_campaign():
+    """``repro.faults`` resolves its campaign names on first use, so
+    importing the serving layer, which needs only the resilient
+    executor, loads neither the SEU campaign engine nor the conformance
+    sweep it imports; the names still resolve on demand."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys, repro.serve, repro.faults as f\n"
+            "print(sorted(m for m in ('repro.faults.campaign', "
+            "'repro.faults.sites', 'repro.conformance') "
+            "if m in sys.modules))\n"
+            "print(f.run_campaign.__module__, f.SITES is "
+            "sys.modules['repro.faults.sites'].SITES)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]",
+                                        "repro.faults.campaign True"]

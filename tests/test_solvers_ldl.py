@@ -61,6 +61,33 @@ class TestOrdering:
         order = min_degree_order(kkt_sparsity(p))
         assert sorted(order.tolist()) == list(range(len(order)))
 
+    def test_matches_alive_intersection_rule(self):
+        """Picking by ``len(adj[i])`` gives the order of the rule that
+        counted only alive neighbours, ``len(adj[i] & alive)``, on the
+        trajectory problems of horizons 4-12 with 0-3 obstacles."""
+
+        def reference(pattern):
+            n = pattern.shape[0]
+            adj = [set(np.nonzero(pattern[i])[0].tolist()) - {i}
+                   for i in range(n)]
+            alive = set(range(n))
+            order = []
+            for _ in range(n):
+                pick = min(alive, key=lambda i: (len(adj[i] & alive), i))
+                order.append(pick)
+                alive.discard(pick)
+                neigh = adj[pick] & alive
+                for i in neigh:
+                    adj[i] |= neigh - {i}
+                    adj[i].discard(pick)
+            return order
+
+        for horizon in range(4, 13):
+            for obstacles in range(4):
+                pat = kkt_sparsity(trajectory_problem(horizon, obstacles))
+                assert min_degree_order(pat).tolist() == reference(pat), (
+                    horizon, obstacles)
+
     def test_min_degree_reduces_fill(self):
         p = trajectory_problem(6, 2)
         pat = kkt_sparsity(p)
