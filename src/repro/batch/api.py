@@ -34,8 +34,7 @@ __all__ = ["fma_batch", "dot_batch", "accumulate_batch", "select_engine",
            "requested_backend"]
 
 
-def select_engine(op: str, unit: CSFmaUnit, size: int,
-                  backend: str | None = None,
+def select_engine(op: str, size: int, backend: str | None = None,
                   use_batch: bool = True) -> str:
     """The engine one batch call runs on: ``faithful``, ``tuple`` or
     ``vector``.
@@ -45,20 +44,18 @@ def select_engine(op: str, unit: CSFmaUnit, size: int,
     or ``"dot-lanes"`` (dots in one coalesced serve payload).  In order:
     ``use_batch=False`` runs the faithful models; the request is
     ``backend``, else :data:`~repro.batch.engines.BACKEND_ENV`, else
-    ``auto``; strict units have no fast kernel and run faithful.  A
-    ``vector``/``auto`` request then goes to the tuple kernel while the
-    calling thread has probes or the residue guard armed (they observe
-    the scalar datapath), and an ``auto`` one also when ``size`` is below the
-    measured crossover under which the lane engine's fixed ndarray cost
-    loses (docs/PERFORMANCE.md); a ``vector`` pin skips only that size
-    test.  The one fallback reason is counted as
-    ``batch.vector.fallback`` and ``batch.vector.fallback.<reason>``.
+    ``auto``.  A ``vector``/``auto`` request then goes to the tuple
+    kernel while the calling thread has probes or the residue guard
+    armed (they observe the scalar datapath), and an ``auto`` one also
+    when ``size`` is below the measured crossover under which the lane
+    engine's fixed ndarray cost loses (docs/PERFORMANCE.md); a
+    ``vector`` pin skips only that size test.  The one fallback reason
+    is counted as ``batch.vector.fallback`` and
+    ``batch.vector.fallback.<reason>``.
     """
     if not use_batch:
         return "faithful"
     backend = requested_backend(backend)
-    if unit.strict:
-        return "faithful"
     if backend in ("tuple", "faithful"):
         return backend
     arms, guard = probes.ARMED, _gd.ACTIVE
@@ -174,7 +171,7 @@ def fma_batch(a: Sequence["CSFloat | FPValue"], b: Sequence[FPValue],
     if not (len(a) == len(b) == len(c)):
         raise ValueError("operand vector length mismatch")
     unit = unit if unit is not None else FcsFmaUnit()
-    engine = select_engine("fma", unit, len(a), backend, use_batch)
+    engine = select_engine("fma", len(a), backend, use_batch)
     tm = _tm.ACTIVE
     if tm is not None:
         # call-boundary instrumentation only: per-kernel lane counts,
@@ -215,7 +212,7 @@ def dot_batch(a: Sequence[FPValue], b: Sequence[FPValue],
     if len(a) != len(b):
         raise ValueError("vector length mismatch")
     unit = unit if unit is not None else FcsFmaUnit()
-    engine = select_engine("dot", unit, len(a), backend, use_batch)
+    engine = select_engine("dot", len(a), backend, use_batch)
     tm = _tm.ACTIVE
     if tm is not None:
         tm.count("batch.dot.calls")

@@ -22,8 +22,8 @@ faithful path:
 
 The equivalence arguments (and the differential tests backing them) live
 in ``tests/test_batch_differential.py``; the faithful scalar unit remains
-the reference model for everything, including traces and strict-mode
-assertions, which this kernel intentionally does not reproduce.
+the reference model for everything, including traces, which this kernel
+intentionally does not reproduce.
 
 Internal value convention
 -------------------------
@@ -68,11 +68,8 @@ _set = object.__setattr__
 _KERNELS: dict[tuple[int, str, bool], "FastCSKernel"] = {}
 
 
-def kernel_for(unit: CSFmaUnit) -> "FastCSKernel | None":
-    """Fast kernel matching ``unit``, or ``None`` when the unit's extra
-    behaviour (strict-mode invariant checks) requires the faithful path."""
-    if unit.strict:
-        return None
+def kernel_for(unit: CSFmaUnit) -> "FastCSKernel":
+    """Fast kernel matching ``unit`` (one per unit configuration)."""
     key = (id(unit.params), unit.selector, unit.use_carry_reduce)
     k = _KERNELS.get(key)
     if _tm.ACTIVE is not None:
@@ -146,7 +143,6 @@ class FastCSKernel:
         self.mcmask = p.mant_carry_mask
         self.rcmask = p.round_carry_mask
         self.emin, self.emax = p.exp_min, p.exp_max
-        self.ieee_shift = self.frac - BINARY64.fraction_bits
         # weight of the rounding block's LSB: 2**(exp - lsb_shift)
         self.lsb_shift = self.frac + self.block
         # the CS pairs of every non-NORMAL CSFloat that lower_batch
@@ -163,12 +159,16 @@ class FastCSKernel:
 
     def lift_ieee(self, x: FPValue) -> tuple:
         """IEEE -> internal tuple; bit-identical to
-        ``lift_cs(ieee_to_cs(x, params))``."""
+        ``lift_cs(ieee_to_cs(x, params))``, refusal included."""
         if x.cls is not FpClass.NORMAL:
             return (x.cls.value, 0, 0, 0, 0, 0, x.sign)
         fmt = x.fmt
-        m = (x.fraction | (1 << fmt.fraction_bits)) << (
-            self.frac - fmt.fraction_bits)
+        shift = self.frac - fmt.fraction_bits
+        if shift < 0:
+            # a significand wider than the fraction: the faithful lift
+            # raises its ValueError
+            return self.lift_cs(CSFloat.from_ieee(x, self.params))
+        m = (x.fraction | (1 << fmt.fraction_bits)) << shift
         if x.sign:
             m = -m
         return (CS_NORMAL, x.biased_exponent - fmt.bias,
@@ -298,33 +298,31 @@ class FastCSKernel:
     def product(self, cv: int, pos: tuple, width: int, mask: int,
                 sig: int | None = None) -> tuple[int, int]:
         """CS product of the signed multiplicand ``cv`` with the
-        significand whose set bits are ``pos``, modulo ``2**width``.
-
-        Returns what ``multiply_mantissa(..., out_width=width)`` returns,
-        up to bits the callers mask away (`& mask` commutes upward
-        through the tree; see :mod:`repro.batch.trees`).  ``sig`` is the
-        significand value itself, when the caller already has it -- the
-        residue shadow checker folds its residues instead of rebuilding
-        it from ``pos``.
+        significand whose set bits are ``pos``, modulo ``2**width``
+        (``mask``): what ``multiply_mantissa(..., out_width=width)``
+        returns.  The one tree of ``len(pos)`` rows runs unmasked on
+        ``cv & mask`` and its outputs are masked once (``& mask``
+        commutes upward through the tree; see :mod:`repro.batch.trees`).
+        ``sig`` is the significand value itself, when the caller already
+        has it -- the residue shadow checker folds its residues instead
+        of rebuilding it from ``pos``.
         """
-        R = len(pos)
-        exact = (cv >= 0
-                 and cv.bit_length() + pos[-1] + tree_depth(R) <= width)
-        if exact:
-            s, c = tree_fn(R, False)(cv, mask, pos)
-            s, c = s & mask, c & mask
-        else:
-            s, c = tree_fn(R, True)(cv & mask, mask, pos)
+        s, c = tree_fn(len(pos))(cv & mask, pos)
+        s &= mask
+        c &= mask
         if probes.ARMED is not None:
             # fault-injection probe, armed per thread: the tree's rows
             s, c = probes.probe("batch.product", (s, c))
         g = _gd.ACTIVE
         if g is not None and (g := g.state) is not None:
-            # residue shadow for the SWAR lanes: the no-overflow branch
-            # is an exact integer identity (pure mod-3/mod-255 residue
-            # arithmetic); the wrapped branch checks under the modulus
+            # residue shadow for the SWAR lanes: when no row can reach
+            # the modulus the pair is an exact integer identity (pure
+            # mod-3/mod-255 residue arithmetic); otherwise it is checked
+            # under the modulus
             if sig is None:
                 sig = sum(1 << i for i in pos)
+            exact = (cv >= 0 and cv.bit_length() + pos[-1]
+                     + tree_depth(len(pos)) <= width)
             g.check_product(s, c, cv, sig, width, exact=exact)
         return s, c
 
@@ -338,12 +336,14 @@ class FastCSKernel:
         ``pos`` optionally carries the precomputed set-bit positions of
         ``b``'s significand (batch callers hoist it out of inner loops).
         ``prod`` optionally injects the precomputed *full-window-width*
-        CS product pair ``(S, C)`` of ``cv`` with ``b``'s significand
+        CS product pair ``(S, C)`` of the signed multiplicand (``c``'s
+        mantissa, rounding decision included) with ``b``'s significand
         (the lane engine's per-lane dot chain, which runs the trees for
-        every step as one ndarray pass).
-        Masking commutes upward through a CSA tree, so the full-width
-        pair masked down reproduces the per-modulus trees bit for bit;
-        callers must only pass ``prod`` when probes and the guard are
+        every step as one ndarray pass).  An injected pair and a computed
+        one are placed by the same code: masking commutes upward through
+        a CSA tree, so the full-width pair masked down reproduces the
+        pair computed at the modulus each placement needs bit for bit.
+        Callers must only pass ``prod`` when probes and the guard are
         disarmed, since it bypasses their product-plane hooks.
         """
         acls = a[0]
@@ -410,37 +410,27 @@ class FastCSKernel:
         else:
             w0 = a[1] - frac - self.amax
 
-        # stage 3: multiplier (compiled tree at the exact modulus needed)
+        # stage 3: multiplier (a computed pair comes from the tree at
+        # the modulus its placement keeps: W - p_pos inside the window,
+        # product_width below it)
         r1 = None
         a_row = 0
         if p_nonzero:
             p_pos = (e_f - (self.bsig - 1) - frac) - w0
-            cv = -c_used if b[1] else c_used
-            if prod is not None:
-                S, C = prod
-                if p_pos >= 0:
-                    r0 = (S << p_pos) & wmask
-                    r1 = (C << p_pos) & wmask
-                else:
-                    pv = ((S & self.pmask) + (C & self.pmask)) \
-                        & self.pmask
-                    if pv & self.psign:
-                        pv -= self.psign << 1
-                    r0 = (pv >> (-p_pos)) & wmask
-            elif p_pos >= 0:
+            if prod is None:
                 if pos is None:
                     pos = bit_positions(b[3])
-                ow = W - p_pos
-                S, C = self.product(cv, pos, ow, (1 << ow) - 1, b[3])
+                ow = W - p_pos if p_pos >= 0 else self.pw
+                prod = self.product(-c_used if b[1] else c_used, pos, ow,
+                                    (1 << ow) - 1, b[3])
+            S, C = prod
+            if p_pos >= 0:
                 r0 = (S << p_pos) & wmask
                 r1 = (C << p_pos) & wmask
             else:
                 # product entirely below the window: collapse and
                 # floor-shift the signed value (the scalar unit's
                 # documented modelling liberty)
-                if pos is None:
-                    pos = bit_positions(b[3])
-                S, C = self.product(cv, pos, self.pw, self.pmask, b[3])
                 pv = (S + C) & self.pmask
                 if pv & self.psign:
                     pv -= self.psign << 1
@@ -542,24 +532,10 @@ class FastCSKernel:
         :meth:`repro.fma.dotprod.FusedDotProductUnit.dot` accumulator
         chain ``acc = fma(acc, a_i, lift(b_i))``.
         """
-        shift = self.ieee_shift
-        mmask = self.mmask
         fma = self.fma
         lift_ieee = self.lift_ieee
         lift_b = self.lift_b
         acc = (CS_ZERO, 0, 0, 0, 0, 0, 0)
-        one = 1 << 52
         for ai, bi in zip(a, b):
-            if (ai.cls is FpClass.NORMAL and bi.cls is FpClass.NORMAL
-                    and ai.fmt is BINARY64 and bi.fmt is BINARY64):
-                m = (bi.fraction | one) << shift
-                if bi.sign:
-                    m = -m
-                ct = (CS_NORMAL, bi.biased_exponent - 1023, m & mmask,
-                      0, 0, 0, 0)
-                bt = (CS_NORMAL, ai.sign, ai.biased_exponent - 1023,
-                      ai.fraction | one)
-                acc = fma(acc, bt, ct)
-            else:
-                acc = fma(acc, lift_b(ai), lift_ieee(bi))
+            acc = fma(acc, lift_b(ai), lift_ieee(bi))
         return acc

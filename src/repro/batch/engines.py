@@ -20,7 +20,7 @@ from ..fp.formats import BINARY64, FloatFormat
 from ..fp.rounding import RoundingMode
 from ..fp.value import FPValue
 from ..telemetry import core as _tm
-from .cskernel import FastCSKernel, kernel_for
+from .cskernel import kernel_for
 from .ieee_fast import as_format_fast, fp_add_fast, fp_fma_fast, fp_mul_fast
 
 __all__ = ["FastCSFmaEngine", "FastDiscreteMulAddEngine",
@@ -52,12 +52,9 @@ class FastCSFmaEngine(FmaEngine):
     """Fast twin of :class:`CSFmaEngine`: chain values travel as plain
     tuples through :class:`FastCSKernel`."""
 
-    def __init__(self, unit: CSFmaUnit, kernel: FastCSKernel | None = None):
+    def __init__(self, unit: CSFmaUnit):
         self.unit = unit
-        self.kernel = kernel if kernel is not None else kernel_for(unit)
-        if self.kernel is None:
-            raise ValueError("unit configuration has no fast kernel; "
-                             "use the faithful CSFmaEngine")
+        self.kernel = kernel_for(unit)
         self.name = unit.name
 
     def lift(self, x: FPValue) -> Any:
@@ -119,17 +116,14 @@ def accelerate_engine(engine: FmaEngine | None) -> FmaEngine | None:
     """Fast twin of a stock engine (same name, bit-identical results).
 
     Exact-type matching keeps behaviour-overriding subclasses on the
-    faithful path; strict-mode CS units (which raise on architectural
-    invariant violations the kernel does not model) also pass through.
-    ``None`` (graphs without carry-save nodes) stays ``None``.
+    faithful path.  ``None`` (graphs without carry-save nodes) stays
+    ``None``.
     """
     if engine is None:
         return None
     t = type(engine)
     tm = _tm.ACTIVE
     if t is CSFmaEngine:
-        if kernel_for(engine.unit) is None:
-            return engine
         if tm is not None:
             tm.count(f"batch.engine.accelerated.{engine.name}")
         return FastCSFmaEngine(engine.unit)

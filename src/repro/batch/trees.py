@@ -15,30 +15,29 @@ a faithful transcription while remaining bit-identical:
   (``x ^ y ^ z``) and the majority carry
   (``(x & y) | ((x ^ y) & z)``), so each 3:2 level costs six big-int
   operations instead of nine.
-* **Mask elision (upward information flow).**  Every compressor output
-  bit ``j`` depends only on input bits ``<= j`` (the operators are
-  ``&``, ``|``, ``^`` and ``<< 1``), so truncating each level to the
+* **No per-level masks (upward information flow).**  Every compressor
+  output bit ``j`` depends only on input bits ``<= j`` (the operators
+  are ``&``, ``|``, ``^`` and ``<< 1``), so truncating each level to the
   window modulus commutes with computing the whole tree unmasked and
-  truncating once at the end.  When the common multiplicand is
-  non-negative and narrow enough that no intermediate can reach the
-  modulus (checked via :func:`tree_depth`), the per-level masks are
-  dropped entirely.
+  truncating once at the end.  The tree therefore never masks; the
+  caller masks its two outputs once, whatever the sign or width of the
+  multiplicand.
 
-The generated functions take ``(c_eff, mask, positions)`` -- the wrapped
-common multiplicand, the width mask and the ascending set-bit positions
-of the ``B`` significand -- and return the ``(sum, carry)`` pair the
-faithful ``reduce_rows`` would produce (masked variant: exactly; unmasked
-variant: equal after a final ``& mask``).
+The generated functions take ``(c_eff, positions)`` -- the wrapped
+common multiplicand and the ascending set-bit positions of the ``B``
+significand -- and return a ``(sum, carry)`` pair equal, after a final
+``& mask``, to what the faithful ``reduce_rows`` produces at that mask's
+width.
 """
 
 from __future__ import annotations
 
 __all__ = ["tree_fn", "tree_depth", "tree_source", "clear_tree_cache"]
 
-#: Compiled (row_count, masked) -> function cache.  Populated on demand;
-#: compilation costs a few hundred microseconds per variant and is
+#: Compiled row_count -> function cache.  Populated on demand;
+#: compilation costs a few hundred microseconds per row count and is
 #: amortized over the process lifetime.
-_TREES: dict[tuple[int, bool], object] = {}
+_TREES: dict[int, object] = {}
 
 _DEPTHS: dict[int, int] = {}
 
@@ -56,19 +55,16 @@ def tree_depth(rows: int) -> int:
     return d
 
 
-def tree_source(rows: int, masked: bool) -> tuple[str, str]:
+def tree_source(rows: int) -> tuple[str, str]:
     """Source text of the specialized reduction for ``rows`` rows.
 
     Replicates the exact combination order of
     :func:`repro.cs.csa.reduce_rows`: triples ``(i, i+1, i+2)`` per
     level, remainders appended after the compressed pairs.
     """
-    name = f"_tree{rows}{'m' if masked else 'u'}"
-    lines = [f"def {name}(c_eff, mask, P):"]
-    for i in range(rows):
-        row = f"(c_eff << P[{i}])"
-        lines.append(f"    r{i} = {row} & mask" if masked
-                     else f"    r{i} = {row}")
+    name = f"_tree{rows}"
+    lines = [f"def {name}(c_eff, P):"]
+    lines += [f"    r{i} = c_eff << P[{i}]" for i in range(rows)]
     work = [f"r{i}" for i in range(rows)]
     tmp = 0
     while len(work) > 2:
@@ -78,14 +74,8 @@ def tree_source(rows: int, masked: bool) -> tuple[str, str]:
             t, s, c = f"t{tmp}", f"s{tmp}", f"c{tmp}"
             tmp += 1
             lines.append(f"    {t} = {x} ^ {y}")
-            if masked:
-                lines.append(f"    {s} = ({t} ^ {z}) & mask")
-                lines.append(
-                    f"    {c} = ((({x} & {y}) | ({t} & {z})) << 1) & mask")
-            else:
-                lines.append(f"    {s} = {t} ^ {z}")
-                lines.append(
-                    f"    {c} = (({x} & {y}) | ({t} & {z})) << 1")
+            lines.append(f"    {s} = {t} ^ {z}")
+            lines.append(f"    {c} = (({x} & {y}) | ({t} & {z})) << 1")
             nxt.append(s)
             nxt.append(c)
         rem = len(work) % 3
@@ -98,17 +88,15 @@ def tree_source(rows: int, masked: bool) -> tuple[str, str]:
     return "\n".join(lines), name
 
 
-def tree_fn(rows: int, masked: bool):
+def tree_fn(rows: int):
     """Compiled specialized reduction (cached)."""
-    key = (rows, masked)
-    fn = _TREES.get(key)
+    fn = _TREES.get(rows)
     if fn is None:
-        src, name = tree_source(rows, masked)
+        src, name = tree_source(rows)
         ns: dict[str, object] = {}
-        exec(compile(src, f"<csa-tree {rows}{'m' if masked else 'u'}>",
-                     "exec"), ns)
+        exec(compile(src, f"<csa-tree {rows}>", "exec"), ns)
         fn = ns[name]
-        _TREES[key] = fn
+        _TREES[rows] = fn
     return fn
 
 

@@ -16,17 +16,16 @@ engine is their digit-plane lane type.
 
 Why full-width trees are sound (mask elision, lane-parallel form)
 -----------------------------------------------------------------
-The scalar kernel compiles one Wallace tree per ``(rows, width)`` and
-evaluates it at the exact modulus each operation needs (``W - p_pos``,
-or ``product_width`` below the window).  Every CSA output bit ``j``
+Both engines compile one Wallace tree per row count (the popcount of the
+``B`` significand) and mask once, after it.  Every CSA output bit ``j``
 depends only on input bits ``<= j``, so masking commutes upward through
 the tree: the tree evaluated at full window width ``W`` and masked down
-equals the tree evaluated at the narrower modulus.  The vector engine
-therefore compiles *one* stacked tree per row count (the popcount of the
-``B`` significand), evaluates it at width ``W`` for every lane in the
-group simultaneously, and lets the callers mask -- ``(S << p_pos) &
-wmask`` and ``(S & pmask)`` recover exactly what the scalar kernel's
-per-modulus trees produce.
+equals the tree evaluated at the narrower modulus each operation needs
+(``W - p_pos``, or ``product_width`` below the window).  The tuple kernel
+runs its tree at that modulus; the vector engine evaluates its stacked
+tree at width ``W`` for every lane in the group simultaneously and lets
+the callers mask -- ``(S << p_pos) & wmask`` and ``(S & pmask)`` recover
+exactly what the tuple kernel produces.
 
 The lane boundary
 -----------------
@@ -77,16 +76,12 @@ __all__ = ["VectorCSKernel", "vector_kernel_for", "clear_vector_cache"]
 _VECTORS: dict[int, "VectorCSKernel"] = {}
 
 
-def vector_kernel_for(unit) -> "VectorCSKernel | None":
-    """Vector kernel matching ``unit`` or ``None`` (strict units)."""
+def vector_kernel_for(unit) -> "VectorCSKernel":
+    """Vector kernel matching ``unit`` (one per tuple kernel)."""
     kernel = kernel_for(unit)
-    if kernel is None:
-        return None
-    key = id(kernel)
-    vk = _VECTORS.get(key)
+    vk = _VECTORS.get(id(kernel))
     if vk is None:
-        vk = VectorCSKernel(kernel)
-        _VECTORS[key] = vk
+        vk = _VECTORS[id(kernel)] = VectorCSKernel(kernel)
     return vk
 
 
@@ -175,7 +170,7 @@ class VectorCSKernel:
         self.amax = kernel.amax
         self.max_skip = kernel.max_skip
         self.emin, self.emax = kernel.emin, kernel.emax
-        self.ieee_shift = kernel.ieee_shift
+        self.ieee_shift = kernel.frac - 52      # binary64 fraction bits
         self.use_carry_reduce = kernel.use_carry_reduce
         self.selector = kernel.selector
         # per-digit constant planes (the first four: the lane type's)
@@ -206,23 +201,6 @@ class VectorCSKernel:
         m = (1 << self.BB) - 1
         return np.array([(x >> (self.BB * i)) & m for i in range(k)],
                         dtype=np.uint64)
-
-    def _shift(self, x, s):
-        """``floor(x * 2^s) mod 2^(K*BB)`` of the two's-complement digit
-        planes ``x`` with per-lane shift ``s`` of either sign (right
-        shifts are arithmetic)."""
-        n, K = x.shape
-        q = s // self.BB                       # floor division (int64)
-        r = (s - q * self.BB).astype(np.uint64)[:, None]
-        cat = np.concatenate([np.zeros((n, K), np.uint64), x,
-                              np.broadcast_to(self.fill(x), (n, K))],
-                             axis=1)
-        j = np.arange(K, dtype=np.int64)
-        idx = np.clip(j[None, :] - q[:, None] + K, 0, 3 * K - 1)
-        idx = idx.astype(np.intp)
-        lo = np.take_along_axis(cat, idx, axis=1)
-        hm = np.take_along_axis(cat, np.maximum(idx - 1, 0), axis=1)
-        return ((lo & (self.mask >> r)) << r) | (hm >> (self.BBu - r))
 
     def _carry_fix(self, out, c=None, c2=None):
         """Fold digit overflow upward in place until every digit fits
@@ -391,9 +369,11 @@ class VectorCSKernel:
         return ws
 
     def _shift3(self, ws, s3):
-        """Fused per-lane digit shift of the three rows staged in
-        ``ws.cat`` (``[zeros | x | fill]`` per row); same semantics as
-        :meth:`_shift` but allocation-free."""
+        """``floor(x * 2^s) mod 2^(D*BB)`` of every two's-complement row
+        ``x`` staged in ``ws.cat`` (``[zeros | x | fill]`` per row), with
+        per-row shift ``s3`` of either sign (right shifts are arithmetic:
+        they read the row's ``fill``, so only a row shifted right needs
+        one); allocation-free."""
         D = self.D
         np.floor_divide(s3, self.BB, out=ws.q)
         np.multiply(ws.q, self.BB, out=ws.r3)
@@ -574,19 +554,24 @@ class VectorCSKernel:
         ws.s3[:n] = sp
         ws.s3[n:2 * n] = sp
         ws.s3[2 * n:] = aexp - self.frac - w0
-        lo = self._shift3(ws, ws.s3)
-        r0, r1, a_row = lo[:n], lo[n:2 * n], lo[2 * n:]
         has_r1 = p_nz & (p_pos >= 0)
         below = p_nz & (p_pos < 0)
         if below.any():
+            # a product entirely below the window enters as one row: its
+            # collapsed, sign-extended value in the sum row, shifted
+            # right by -p_pos, and an empty carry row
             bi = np.flatnonzero(below)
             pv = self._addf(S[bi] & self.pmaskd, C[bi] & self.pmaskd)
             pv &= self.pmaskd
             negb = ((pv[:, self.psign_digit] >> self.psign_bit)
                     & _ONE).astype(bool)
             pv |= np.where(negb[:, None], self.pextd, _U64(0))
-            r0[bi] = self._shift(pv, p_pos[bi])
-            r1[bi] = 0
+            ws.cat[bi, D:2 * D] = pv
+            ws.cat[bi, 2 * D:] = self.fill(pv)
+            ws.cat[n + bi, D:2 * D] = 0
+            ws.s3[bi] = p_pos[bi]
+        lo = self._shift3(ws, ws.s3)
+        r0, r1, a_row = lo[:n], lo[n:2 * n], lo[2 * n:]
         a_row &= np.where(a_nz, self.mask, _U64(0))[:, None]
         # 3:2 over at most three rows, then row-count-dependent wiring
         s3, c3 = csa(self, r0, r1, a_row)

@@ -92,19 +92,15 @@ class CSFmaUnit:
     use_carry_reduce:
         Run the Carry Reduce stage after the adder (PCS); the FCS unit
         eliminates it via the DSP48E1 pre-adders (Sec. III-H).
-    strict:
-        When True, raise if an architectural invariant would be violated
-        (e.g. a result block index beyond the hardware multiplexer).
     """
 
     def __init__(self, params: CSFmaParams, *, selector: str = "zd",
-                 use_carry_reduce: bool = True, strict: bool = False):
+                 use_carry_reduce: bool = True):
         if selector not in ("zd", "lza"):
             raise ValueError("selector must be 'zd' or 'lza'")
         self.params = params
         self.selector = selector
         self.use_carry_reduce = use_carry_reduce
-        self.strict = strict
 
     # ------------------------------------------------------------------
 
@@ -263,8 +259,6 @@ class CSFmaUnit:
 
         j_top = p.window_blocks - 1 - skipped
         lo = p.block * (j_top - (p.mant_blocks - 1))
-        if self.strict and skipped < 0:
-            raise AssertionError("negative skip count")
 
         # --- stage 8: result and rounding-data slice ---------------------
         mant_mask = (1 << p.mant_width) - 1

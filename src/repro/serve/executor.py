@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..batch import (dot_batch, fma_batch, kernel_for, select_engine,
-                     vector_kernel_for)
+from ..batch import (dot_batch, fma_batch, kernel_for, requested_backend,
+                     select_engine, vector_kernel_for)
 from ..fma.accumulator import PcsAccumulator
 from ..fma.classic import ClassicFmaUnit
 from ..fma.convert import cs_to_ieee, ieee_to_cs
@@ -86,7 +86,7 @@ def _exec_fma(fmt: str, items, backend: str | None) -> list:
     b = [word_to_fp(w) for _a, w, _c in items]
     c = [word_to_fp(w) for _a, _b, w in items]
     results = fma_batch(a, b, c, unit=unit, backend=backend)
-    if backend == "faithful":
+    if requested_backend(backend) == "faithful":
         return [("ok", fp_to_word(cs_to_ieee(r))) for r in results]
     kernel = kernel_for(unit)
     lift, to_ieee = kernel.lift_cs, kernel.to_ieee
@@ -114,8 +114,7 @@ def _exec_dot_vector(unit, items) -> list:
 
 def _exec_dot(fmt: str, items, backend: str | None) -> list:
     unit = _units()[fmt]
-    if items and select_engine("dot-lanes", unit, len(items),
-                               backend) == "vector":
+    if items and select_engine("dot-lanes", len(items), backend) == "vector":
         return _exec_dot_vector(unit, items)
     out = []
     for aw, bw, _c in items:

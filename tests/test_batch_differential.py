@@ -25,6 +25,7 @@ from repro.batch import (FastCSFmaEngine, accelerate_engine,
                          fp_mul_fast, kernel_for)
 from repro.batch.cskernel import CS_INF, CS_NAN, CS_NORMAL, CS_ZERO
 from repro.batch.engines import BACKEND_ENV
+from repro.cs.csa import reduce_rows
 from repro.cs.csnumber import CSNumber
 from repro.fma import (CSFmaEngine, CSFmaUnit, DiscreteMulAddEngine,
                        FcsFmaUnit, FusedIeeeEngine, PcsFmaUnit, cs_to_ieee,
@@ -37,8 +38,9 @@ from repro.fp import (BINARY32, BINARY64, EXTENDED68, EXTENDED75, FPValue,
                       FpClass, double)
 from repro.fp.ops import as_format, fp_add, fp_fma, fp_mul, fp_neg
 from repro.fp.rounding import RoundingMode
+from repro.guard import GuardConfig, guarding
 from repro.serve.protocol import word_to_fp
-from test_fma_parametrized import SINGLE_PCS, WIDE_FCS
+from test_fma_parametrized import SINGLE_PCS, VARIANTS, WIDE_FCS
 
 PCS = PcsFmaUnit()
 FCS = FcsFmaUnit()
@@ -154,16 +156,6 @@ class TestKernelVsUnit:
         fast = fma_batch(a, b, c, unit=unit, use_batch=True)
         for r, f in zip(ref, fast):
             assert_same_cs(f, r)
-
-    def test_strict_unit_has_no_kernel(self):
-        assert kernel_for(PcsFmaUnit(strict=True)) is None
-        # ... and the batch API transparently falls back to the unit
-        unit = PcsFmaUnit(strict=True)
-        out = fma_batch([double(1.0)], [double(2.0)], [double(3.0)],
-                        unit=unit)
-        ref = unit.fma(ieee_to_cs(double(1.0), unit.params), double(2.0),
-                       ieee_to_cs(double(3.0), unit.params))
-        assert_same_cs(out[0], ref)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +541,47 @@ def _bit_positions_loop(word: int) -> tuple:
     return tuple(out)
 
 
+#: the geometries the one Wallace tree is checked on: the paper's units
+#: and the two off-paper ones whose fraction holds a binary64 significand
+TREE_UNITS = UNITS + [CSFmaUnit(p, selector=sel, use_carry_reduce=red)
+                      for p, sel, red in VARIANTS
+                      if p.name in ("fcs-wide", "pcs-dense")]
+
+
+@st.composite
+def product_cases(draw, kernel):
+    """``(cv, sig, width)`` as the kernel's stage 3 passes them: a signed
+    multiplicand of up to ``mant_width - 2`` bits, a ``B`` significand,
+    and the product width or an in-window width ``W - p_pos``."""
+    lim = 1 << (kernel.mw - 2)
+    cv = draw(st.integers(-lim + 1, lim - 1))
+    sig = draw(st.integers(1, (1 << kernel.bsig) - 1))
+    width = draw(st.one_of(st.just(kernel.pw),
+                           st.integers(kernel.W - kernel.plsb, kernel.W)))
+    return cv, sig, width
+
+
 class TestMultiplierRows:
+    @pytest.mark.parametrize("unit", TREE_UNITS, ids=geometry_ids)
+    @given(data=st.data())
+    def test_product_is_the_masked_faithful_tree(self, unit, data):
+        """The one tree per row count, run unmasked on ``cv & mask`` and
+        masked once, equals the faithful tree masked at every level --
+        for a negative multiplicand too -- and the armed residue guard
+        checks the pair without flagging or changing it."""
+        k = kernel_for(unit)
+        cv, sig, width = data.draw(product_cases(k))
+        pos = bit_positions(sig)
+        mask = (1 << width) - 1
+        red = reduce_rows([((cv & mask) << p) & mask for p in pos],
+                          width=width)
+        want = (red.sum, red.carry)
+        assert k.product(cv, pos, width, mask) == want
+        with guarding(GuardConfig(record_only=True)) as state:
+            assert k.product(cv, pos, width, mask) == want
+        assert state.checks == {"product": 1}
+        assert state.mismatches == {}
+
     def test_bit_positions_matches_bit_loop(self):
         words = [0]
         words += [1 << i for i in range(130)]
@@ -781,18 +813,12 @@ class TestEngineAcceleration:
 
     def test_passthroughs(self):
         assert accelerate_engine(None) is None
-        strict = CSFmaEngine(PcsFmaUnit(strict=True))
-        assert accelerate_engine(strict) is strict
 
         class MyEngine(FusedIeeeEngine):
             pass
 
         custom = MyEngine()
         assert accelerate_engine(custom) is custom
-
-    def test_fast_cs_engine_rejects_strict_unit(self):
-        with pytest.raises(ValueError):
-            FastCSFmaEngine(PcsFmaUnit(strict=True))
 
 
 class TestConsumerWiring:
@@ -868,7 +894,6 @@ class TestZeroDetectClosedForm:
         """The kernel replaces the block-wise ZD search with a closed
         form over the collapsed window value; it must agree with the
         semantic ground truth for every (sum, carry) pair."""
-        from repro.cs.csnumber import CSNumber
         from repro.cs.zero_detect import count_skippable_blocks
 
         width = block * nblocks

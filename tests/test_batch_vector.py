@@ -512,12 +512,14 @@ class TestOffPaperGeometries:
         out = assert_same_lowering(unit, [zero] * 4, [b] * 4, [zero] * 4)
         assert all(r.cls is FpClass.ZERO for r in out)
 
-    @pytest.mark.parametrize("call", ["fma-auto", "fma-vector",
-                                      "dot-vector", "dot-many-words"])
+    @pytest.mark.parametrize("call", ["fma-auto", "fma-vector", "fma-tuple",
+                                      "dot-vector", "dot-tuple",
+                                      "dot-many-words"])
     def test_narrow_geometry_refused_like_the_faithful_unit(
             self, monkeypatch, call):
         """``pcs-sp`` has 27 fraction bits, too few for binary64 -- the
-        lane engine used to lift it silently and return ZERO."""
+        lane engine used to lift it silently and return ZERO, and the
+        tuple kernel failed on a negative shift count."""
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         unit = OFF_PAPER["pcs-sp"]
         x, y, z = (FPValue.from_float(v, BINARY64) for v in (1.5, 2.0, 3.0))
@@ -525,18 +527,17 @@ class TestOffPaperGeometries:
         with pytest.raises(ValueError, match=message):
             fma_batch([x], [y], [z], unit=unit, use_batch=False)
         n = FMA_LANES if call == "fma-auto" else 4
+        op, backend = call.split("-", 1)
         with pytest.raises(ValueError, match=message):
-            if call == "fma-auto":
-                fma_batch([x] * n, [y] * n, [z] * n, unit=unit)
-            elif call == "fma-vector":
-                fma_batch([x] * n, [y] * n, [z] * n, unit=unit,
-                          backend="vector")
-            elif call == "dot-vector":
-                dot_batch([x] * n, [y] * n, unit=unit, backend="vector")
-            else:
+            if call == "dot-many-words":
                 vector_kernel_for(unit).dot_many_words(
                     np.full((n, 2), word_of(x), np.uint64),
                     np.full((n, 2), word_of(y), np.uint64))
+            elif op == "fma":
+                fma_batch([x] * n, [y] * n, [z] * n, unit=unit,
+                          backend=backend)
+            else:
+                dot_batch([x] * n, [y] * n, unit=unit, backend=backend)
 
 
 # ---------------------------------------------------------------------------
@@ -589,18 +590,16 @@ class TestArmedFallback:
         assert word_of(plain) == word_of(guarded)
 
     def test_serve_vector_path_declines_when_armed(self):
-        from repro.serve.executor import _units, execute_payload
+        from repro.serve.executor import execute_payload
 
-        unit = _units()["pcs"]
         w = 0x3FF0000000000000
         payload = {"op": "dot", "fmt": "pcs", "backend": "vector",
                    "items": [([w, w], [w, w], None)] * 40}
-        assert select_engine("dot-lanes", unit, 40, "vector") == "vector"
+        assert select_engine("dot-lanes", 40, "vector") == "vector"
         plain = execute_payload(payload)
         with collecting() as t:
             with probes.armed({"test.never-fired": probes.Arm(lambda v: v)}):
-                assert select_engine("dot-lanes", unit, 40,
-                                     "vector") == "tuple"
+                assert select_engine("dot-lanes", 40, "vector") == "tuple"
                 armed_out = execute_payload(payload)
         counters = t.snapshot().counters
         assert counters.get("batch.vector.lanes", 0) == 0
@@ -632,16 +631,14 @@ class TestVectorTelemetry:
 
 
 def _case(case_id, op, size, backend, env=None, use_batch=True,
-          strict=False, arm=None, engine="vector", reason=None):
-    return pytest.param(op, size, backend, env, use_batch, strict, arm,
-                        engine, reason, id=case_id)
+          arm=None, engine="vector", reason=None):
+    return pytest.param(op, size, backend, env, use_batch, arm, engine,
+                        reason, id=case_id)
 
 
 SELECT_CASES = [
     _case("use-batch-off", "fma", 4096, "vector", use_batch=False,
           arm="probes", engine="faithful"),
-    _case("strict-unit", "dot", 4096, "vector", strict=True,
-          arm="guard", engine="faithful"),
     _case("explicit-tuple", "fma", 4096, "tuple", env="vector",
           engine="tuple"),
     _case("explicit-tuple-armed", "fma", 4096, "tuple", arm="guard",
@@ -676,24 +673,23 @@ class TestBackendDispatch:
         assert BACKENDS == ("auto", "vector", "tuple", "faithful")
 
     @pytest.mark.parametrize(
-        "op, size, backend, env, use_batch, strict, arm, engine, reason",
+        "op, size, backend, env, use_batch, arm, engine, reason",
         SELECT_CASES)
     def test_select_engine(self, monkeypatch, op, size, backend, env,
-                           use_batch, strict, arm, engine, reason):
+                           use_batch, arm, engine, reason):
         """Every input of the one engine-selection seam gives the
         expected engine and counts exactly its one fallback reason."""
         if env is None:
             monkeypatch.delenv(BACKEND_ENV, raising=False)
         else:
             monkeypatch.setenv(BACKEND_ENV, env)
-        unit = PcsFmaUnit(strict=strict)
         arming = {None: contextlib.nullcontext,
                   "probes": lambda: probes.armed(
                       {"test.never-fired": probes.Arm(lambda v: v)}),
                   "guard": guarding}[arm]
         with collecting() as t:
             with arming():
-                got = select_engine(op, unit, size, backend, use_batch)
+                got = select_engine(op, size, backend, use_batch)
         fallbacks = {k: v for k, v in t.snapshot().counters.items()
                      if k.startswith("batch.vector.fallback")}
         assert got == engine
@@ -703,12 +699,12 @@ class TestBackendDispatch:
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            select_engine("fma", UNITS[0], 8, "simd")
+            select_engine("fma", 8, "simd")
 
     def test_env_typo_rejected(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "vectr")
         with pytest.raises(ValueError, match="unknown backend"):
-            select_engine("fma", UNITS[0], 8)
+            select_engine("fma", 8)
 
     @pytest.mark.parametrize("unit", UNITS, ids=unit_ids)
     def test_backends_agree_on_small_batch(self, unit):

@@ -258,7 +258,7 @@ class TestArming:
         try:
             assert held.wait(10)
             with collecting() as t:
-                engine = select_engine("fma", PcsFmaUnit(), 4096, "vector")
+                engine = select_engine("fma", 4096, "vector")
             assert engine == "vector"
             assert "batch.vector.fallback.armed-guard" not in \
                 t.snapshot().counters

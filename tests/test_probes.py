@@ -56,7 +56,7 @@ def test_another_threads_arm_does_not_reroute_this_thread():
     with held_elsewhere({"test.never-fired": probes.Arm(lambda v: v)}):
         assert probes.ARMED is not None        # the one-load flag is up
         with collecting() as t:
-            engine = select_engine("fma", PcsFmaUnit(), 4096, "vector")
+            engine = select_engine("fma", 4096, "vector")
     assert engine == "vector"
     assert "batch.vector.fallback.armed-probes" not in t.snapshot().counters
 

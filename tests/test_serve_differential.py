@@ -16,7 +16,9 @@ import pytest
 from repro.fma.accumulator import PcsAccumulator
 from repro.serve import (FmaServer, LoadSpec, Request, ServeConfig,
                          make_requests, run_open_loop)
-from repro.serve.executor import execute_payload, reference_result
+from repro.serve.executor import (execute_payload, payload_from_requests,
+                                  reference_result)
+from repro.telemetry import collecting
 
 from _serve_util import chaos_execute, run
 
@@ -121,6 +123,30 @@ class TestBitIdentity:
         ``REPRO_BATCH_BACKEND`` default, for acc as for fma and dot."""
         monkeypatch.setenv("REPRO_BATCH_BACKEND", "faithful")
         assert self._faithful_accumulates(monkeypatch, {}) == 2
+
+    @pytest.mark.parametrize("fmt", ["pcs", "fcs"])
+    def test_env_default_faithful_fma_lowers_on_the_faithful_model(
+            self, monkeypatch, fmt):
+        """An fma payload that names no backend runs on the faithful unit
+        under the ``REPRO_BATCH_BACKEND`` default, and its results leave
+        through the faithful ``cs_to_ieee``: no fast kernel is looked
+        up."""
+        monkeypatch.setenv("REPRO_BATCH_BACKEND", "faithful")
+        words = [(0x3FF8000000000000, 0x4000000000000000,
+                  0xC008000000000000),
+                 (0xBFF0000000000000, 0x3FE0000000000000,
+                  0x4024000000000000),
+                 (0x0000000000000000, 0xC01C000000000000,
+                  0x3FB999999999999A)]
+        reqs = [Request(i, "fma", fmt, a, b, c)
+                for i, (a, b, c) in enumerate(words)]
+        with collecting() as t:
+            out = execute_payload(payload_from_requests("fma", fmt, reqs))
+        counters = t.snapshot().counters
+        assert counters.get("fma.convert.cs_to_ieee") == len(reqs)
+        assert not [k for k in counters
+                    if k.startswith("batch.kernel.cache.")]
+        assert out == [reference_result(r) for r in reqs]
 
 
 class TestConcurrencyFuzz:
