@@ -242,12 +242,6 @@ class Report:
     def rule_ids(self) -> set[str]:
         return {d.rule for d in self.diagnostics}
 
-    def by_rule(self) -> dict[str, list[Diagnostic]]:
-        out: dict[str, list[Diagnostic]] = {}
-        for d in self.diagnostics:
-            out.setdefault(d.rule, []).append(d)
-        return out
-
     def worst_at_least(self, threshold: Severity) -> bool:
         return any(d.severity.at_least(threshold)
                    for d in self.diagnostics)

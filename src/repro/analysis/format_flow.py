@@ -9,10 +9,13 @@ invariant by abstract interpretation: it propagates the
 unknown) along every edge in topological order and checks each
 consumer port against the kind's port signature.
 
-Unlike :meth:`CDFG.validate` -- which raises on the first problem --
-the verifier is total: it never throws on a malformed graph, it keeps
-going and reports *every* violation as a :class:`Diagnostic`, which is
-what a post-pass gate and a CI lint need.
+This is the one statement of graph legality: ``CDFG`` construction
+checks each new node's operands and port types, but edits after that
+(``set_operands``, ``rewire``) are unchecked.  Unlike a check that
+raises on the first problem, the verifier is total: it never throws on
+a malformed graph, it keeps going and reports *every* violation as a
+:class:`Diagnostic`, which is what a post-pass gate and a CI lint
+need.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 
 from ..fma.formats import CSFmaParams, FCS_PARAMS, PCS_PARAMS
+from ..hls.operators import POOL_DESIGNS, OperatorLibrary, synthesize_pool
 from ..hw.components import Component, lut_levels_for_mux
 from ..hw.netlist import UnitDesign
 from ..hw.technology import VIRTEX6, FpgaDevice
@@ -198,42 +199,20 @@ def lint_design(design: UnitDesign, device: FpgaDevice = VIRTEX6,
     return report
 
 
-#: operator-library spec key -> netlist design name
-_SPEC_DESIGNS = {
-    "mul": "coregen-mul",
-    "add": "coregen-add",
-    "fma-pcs": "pcs-fma",
-    "fma-fcs": "fcs-fma",
-}
-
-
-def lint_library(library, device: FpgaDevice = VIRTEX6,
+def lint_library(library: OperatorLibrary, device: FpgaDevice = VIRTEX6,
                  target_mhz: float = 200.0) -> Report:
     """NL008: the latencies the scheduler plans with must equal the
     pipeline depths the hardware model synthesizes for the same units
-    at the same clock target (:func:`repro.hls.operators.default_library`
-    derives them that way; hand-edited specs drift)."""
-    from ..hw.netlist import (cs_to_ieee_converter, divider_design,
-                              ieee_to_cs_converter)
-    from ..hw.synthesis import synthesize, synthesize_by_name
-
+    at the same clock target, each pool's unit taken from
+    :data:`~repro.hls.operators.POOL_DESIGNS` (as
+    :func:`~repro.hls.operators.default_library` does; hand-edited
+    specs drift)."""
     report = Report(target="operator-library")
-    params = PCS_PARAMS if library.fma_flavor == "pcs" else FCS_PARAMS
     for key, spec in library.specs.items():
-        if key in _SPEC_DESIGNS:
-            synth = synthesize_by_name(_SPEC_DESIGNS[key], device,
-                                       target_mhz)
-        elif key == "div":
-            synth = synthesize(divider_design(device), device,
-                               target_mhz)
-        elif key == "i2c":
-            synth = synthesize(ieee_to_cs_converter(device, params),
-                               device, target_mhz)
-        elif key == "c2i":
-            synth = synthesize(cs_to_ieee_converter(device, params),
-                               device, target_mhz)
-        else:
+        if key not in POOL_DESIGNS:
             continue
+        synth = synthesize_pool(key, library.fma_flavor, device,
+                                target_mhz)
         if spec.latency != synth.cycles:
             report.emit("NL008",
                         f"library schedules {key!r} at {spec.latency} "

@@ -54,7 +54,6 @@ def check_schedule(schedule: Schedule,
                         "scheduled node is not in the graph",
                         f"node {nid}")
 
-    issues: dict[tuple[str, int], int] = {}
     for nid, t in start.items():
         node = graph.nodes.get(nid)
         if node is None:
@@ -75,12 +74,9 @@ def check_schedule(schedule: Schedule,
                     f"({graph.nodes[op].kind.value}) is ready at "
                     f"cycle {ready}",
                     f"node {nid} ({node.kind.value})")
-        res = library.resource_class(node)
-        if res is not None:
-            issues[(res, t)] = issues.get((res, t), 0) + 1
 
     # SCH004 -- issue-rate limits of bounded unit pools
-    for (res, t), n in sorted(issues.items()):
+    for (res, t), n in sorted(schedule.issue_counts().items()):
         limit = library.limit_for(res)
         if limit is not None and n > limit:
             report.emit("SCH004",

@@ -23,7 +23,7 @@ from typing import Callable
 from ..hls.fma_pass import FmaPassVerificationError, run_fma_insertion
 from ..hls.frontend import parse_program
 from ..hls.ir import CDFG
-from ..hls.operators import default_library
+from ..hls.operators import FMA_UNIT_LIMIT, default_library
 from ..hls.schedule import asap_schedule, list_schedule
 from ..hw.netlist import _FACTORIES, design_by_name
 from ..hw.technology import VIRTEX6, FpgaDevice
@@ -35,9 +35,6 @@ from .schedule_check import check_schedule
 __all__ = ["graph_targets", "netlist_targets", "analyze_graph_target",
            "analyze_netlist_target", "analyze_library_target",
            "analyze_all", "target_names"]
-
-#: Fig. 15 resource bound used for the list-schedule validation
-_FMA_LIMIT = 39
 
 _LISTING1 = """
 x[1] = a*b + c*d;
@@ -130,7 +127,7 @@ def analyze_graph_target(name: str, build: Callable[[], CDFG],
         tag = f"{name}/{flavor}"
         graph = build()
         library = default_library(device, fma_flavor=flavor,
-                                  fma_limit=_FMA_LIMIT)
+                                  fma_limit=FMA_UNIT_LIMIT)
         try:
             run_fma_insertion(graph, library)
         except FmaPassVerificationError as exc:

@@ -13,14 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.schedule_check import require_clean
-from ..hls import (OpKind, default_library, list_schedule, parse_program,
-                   run_fma_insertion)
+from ..hls import (FMA_UNIT_LIMIT, OpKind, default_library, list_schedule,
+                   parse_program, run_fma_insertion)
 from ..solvers import BENCHMARK_SIZES, generate_kernel, trajectory_problem
 
 __all__ = ["Fig15Row", "run", "format_table", "FMA_UNIT_LIMIT"]
-
-#: Sec. IV-D: "up to 39 time-multiplexed P/FCS-FMA units"
-FMA_UNIT_LIMIT = 39
 
 
 @dataclass(frozen=True)

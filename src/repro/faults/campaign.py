@@ -405,15 +405,15 @@ def _eval_schedule(site: FaultSite, inj: dict) -> dict:
     key = ("schedule-golden", site.unit)
     golden = _STRUCT_MEMO.get(key)
     if golden is None:
-        from ..analysis.targets import _FMA_LIMIT, graph_targets
+        from ..analysis.targets import graph_targets
         from ..hls.fma_pass import run_fma_insertion
-        from ..hls.operators import default_library
+        from ..hls.operators import FMA_UNIT_LIMIT, default_library
         from ..hls.schedule import list_schedule
         from ..hw.technology import VIRTEX6
 
         graph = graph_targets()[site.unit]()
         library = default_library(VIRTEX6, fma_flavor="pcs",
-                                  fma_limit=_FMA_LIMIT)
+                                  fma_limit=FMA_UNIT_LIMIT)
         run_fma_insertion(graph, library)
         golden = list_schedule(graph, library)
         _STRUCT_MEMO[key] = golden

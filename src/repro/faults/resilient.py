@@ -30,14 +30,16 @@ each runs through it once per run, at every worker count:
   produces a :class:`WorkResult` with a machine-readable error record
   instead of an exception that kills the sweep.
 
-In a pool the work function must be a picklable module-level
-callable.  If it accepts a second positional parameter it receives the
-zero-based attempt number -- which the resilience tests use to build
-deterministic "fail exactly once" workloads.
+The work function must be hashable, and in a pool a picklable
+module-level callable.  If it accepts a second positional parameter it
+receives the zero-based attempt number -- which the resilience tests
+use to build deterministic "fail exactly once" workloads; that is
+decided once per function.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import os
 import random
@@ -134,8 +136,11 @@ def _pool_entry(fn, item, attempt: int, wants_attempt: bool):
     return fn(item, attempt) if wants_attempt else fn(item)
 
 
+@functools.lru_cache(maxsize=64)
 def _accepts_attempt(fn) -> bool:
-    """Does ``fn`` take a second positional (attempt-number) argument?"""
+    """Does ``fn`` take a second positional (attempt-number) argument?
+    Memoized: the serving layer passes the same function with every
+    payload."""
     try:
         sig = inspect.signature(fn)
     except (TypeError, ValueError):
@@ -214,7 +219,7 @@ def run_resilient(fn, items, *, workers: int | None = None,
         return run
     if workers is None:
         workers = os.cpu_count() or 1
-    rng = random.Random(rng_seed)
+    rng: random.Random | None = None    # seeded at the first retry
     wants_attempt = _accepts_attempt(fn)
     attempts = [0] * n
     pending: deque[int] = deque(range(n))
@@ -243,9 +248,12 @@ def run_resilient(fn, items, *, workers: int | None = None,
 
     def retry_or_fail(idx: int, kind: str,
                       exc: BaseException | None = None) -> None:
+        nonlocal rng
         if attempts[idx] < policy.max_attempts:
             run.events.append({"kind": "retry", "item": idx,
                                "after": kind})
+            if rng is None:
+                rng = random.Random(rng_seed)
             time.sleep(policy.backoff_s(attempts[idx], rng))
             pending.append(idx)
         else:

@@ -100,11 +100,6 @@ class FloatFormat:
         return (1 << self.exponent_bits) - 1
 
     @property
-    def min_normal_exponent_biased(self) -> int:
-        """Smallest biased exponent of a normal number (1 in IEEE)."""
-        return 1
-
-    @property
     def ulp_exponent(self) -> int:
         """Scale of one unit in the last place of a number with unbiased
         exponent 0, i.e. ``2^ulp_exponent`` is the ULP at magnitude 1."""

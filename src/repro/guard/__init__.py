@@ -27,11 +27,9 @@ datapaths -- load lazily on first attribute access (the
 See ``docs/GUARD.md`` for the residue math and the escalation ladder.
 """
 
-from .residue import (GuardConfig, GuardMismatch, GuardState, guard_active,
-                      guarding)
+from .residue import GuardMismatch, GuardState, guard_active, guarding
 
 __all__ = [
-    "GuardConfig",
     "GuardMismatch",
     "GuardState",
     "GuardedExecutor",

@@ -29,17 +29,16 @@ one-load disabled fast path as :mod:`repro.probes` and
 checker state is per thread, armed through the fault probes'
 :class:`~repro.probes.ThreadSwitch`: the hooks read the calling
 thread's state from :data:`ACTIVE`, so a region checks only its own
-thread's kernels.  A failed check raises :class:`GuardMismatch` (or
-records it in ``record_only`` mode), which the SEU campaign classifies
-as *detected* and the :class:`~repro.guard.voting.GuardedExecutor`
-treats as the trigger for redundant re-execution.
+thread's kernels.  A failed check raises :class:`GuardMismatch`, which
+the SEU campaign classifies as *detected* and the
+:class:`~repro.guard.voting.GuardedExecutor` treats as the trigger for
+redundant re-execution.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from ..probes import ThreadSwitch
 from ..telemetry import core as _tm
@@ -47,7 +46,6 @@ from ..telemetry import core as _tm
 __all__ = [
     "ACTIVE",
     "EXACT_MODULI",
-    "GuardConfig",
     "GuardMismatch",
     "GuardState",
     "guard_active",
@@ -78,50 +76,32 @@ class GuardMismatch(Exception):
         super().__init__(f"{msg}: {detail}" if detail else msg)
 
 
-@dataclass(frozen=True)
-class GuardConfig:
-    """Checker policy for one :func:`guarding` region.
-
-    ``record_only`` turns mismatches into structured records instead of
-    raising (used by the campaign's coverage accounting and by tests
-    that want to observe every mismatch, not just the first).
-    """
-
-    record_only: bool = False
-    max_records: int = 64
-
-
 def residue(x: int, m: int) -> int:
     """The mod-``m`` residue of ``x`` (negative values fold correctly)."""
     return x % m
 
 
 class GuardState:
-    """Mutable per-region checker state: counts and mismatch records.
+    """Mutable per-region checker state: check and mismatch counts.
 
     Check methods are written for the armed path only -- the disabled
     fast path never reaches them (callers test for a state first).
     """
 
-    __slots__ = ("config", "checks", "mismatches", "records")
+    __slots__ = ("checks", "mismatches")
 
-    def __init__(self, config: GuardConfig | None = None):
-        self.config = config if config is not None else GuardConfig()
+    def __init__(self):
         self.checks: dict[str, int] = {}
         self.mismatches: dict[str, int] = {}
-        self.records: list[dict] = []
 
     # -- accounting -----------------------------------------------------
 
     def _bump(self, table: dict[str, int], stage: str) -> None:
         table[stage] = table.get(stage, 0) + 1
 
-    def _fail(self, stage: str, detail: str) -> None:
+    def _fail(self, stage: str, detail: str) -> NoReturn:
         self._bump(self.mismatches, stage)
-        if len(self.records) < self.config.max_records:
-            self.records.append({"stage": stage, "detail": detail})
-        if not self.config.record_only:
-            raise GuardMismatch(stage, detail)
+        raise GuardMismatch(stage, detail)
 
     @property
     def total_checks(self) -> int:
@@ -147,7 +127,6 @@ class GuardState:
             for m in EXACT_MODULI:
                 if (s + c) % m != ((cv % m) * (sig % m)) % m:
                     self._fail("product", f"mod-{m} residue")
-                    return
         elif (s + c - cv * sig) & ((1 << width) - 1):
             self._fail("product", "mod-2^w congruence")
 
@@ -257,7 +236,7 @@ def guard_active() -> bool:
 
 
 @contextlib.contextmanager
-def guarding(config: GuardConfig | None = None) -> Iterator[GuardState]:
+def guarding() -> Iterator[GuardState]:
     """Arm the residue checkers in the calling thread for the duration of
     the context: a :meth:`~repro.probes.ThreadSwitch.region`, like
     :func:`repro.probes.armed`, so regions in different threads (the
@@ -265,7 +244,7 @@ def guarding(config: GuardConfig | None = None) -> Iterator[GuardState]:
     exit the tallies are flushed to telemetry as ``guard.checks.*`` /
     ``guard.mismatch.*`` counters.
     """
-    state = GuardState(config)
+    state = GuardState()
     with SWITCH.region(state):
         try:
             yield state

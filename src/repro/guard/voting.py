@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from ..telemetry import core as _tm
 from . import residue as _gd
-from .residue import GuardConfig, GuardMismatch
+from .residue import GuardMismatch
 
 __all__ = ["GuardPolicy", "GuardedOutcome", "GuardedExecutor"]
 
@@ -108,13 +108,12 @@ class GuardedOutcome:
 def _pool_attempt(args):
     """Picklable trampoline: one guarded execution in a worker process.
 
-    Returns ``(value, mismatches)``; a raising check propagates as an
-    ordinary exception record through ``run_resilient``.
+    Returns the value; a raising check propagates as an ordinary
+    exception record through ``run_resilient``.
     """
     fn, execution = args
-    with _gd.guarding() as state:
-        value = fn(execution)
-    return value, dict(state.mismatches)
+    with _gd.guarding():
+        return fn(execution)
 
 
 class GuardedExecutor:
@@ -148,13 +147,8 @@ class GuardedExecutor:
                 rng_seed=self.rng_seed + self._calls)
             res = run.results[0]
             if res is not None and res.ok:
-                value, mismatches = res.value
-                if mismatches:  # worker ran record-only? defensive
-                    return False, None, {"execution": execution,
-                                         "flagged": True,
-                                         "mismatches": mismatches}
-                return True, value, {"execution": execution,
-                                     "flagged": False}
+                return True, res.value, {"execution": execution,
+                                         "flagged": False}
             err = res.error if res is not None else {"kind": "lost"}
             if err and err.get("type") == "GuardMismatch":
                 return False, None, {"execution": execution,
@@ -163,7 +157,7 @@ class GuardedExecutor:
             return False, None, {"execution": execution, "flagged": False,
                                  "error": err}
         try:
-            with _gd.guarding() as state:
+            with _gd.guarding():
                 value = fn(execution)
         except GuardMismatch as exc:
             return False, None, {"execution": execution, "flagged": True,

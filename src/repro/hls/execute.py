@@ -2,16 +2,19 @@
 
 A :class:`~repro.hls.schedule.Schedule` claims that the datapath
 finishes in ``length`` cycles under the operator latencies and resource
-limits; this module *runs* it, cycle by cycle, verifying the claim:
+limits; this module *runs* it, cycle by cycle.  Before anything issues,
+the schedule must pass :func:`repro.analysis.require_clean`, the one
+statement of schedule legality (rules ``SCH001``-``SCH004``):
 
-* every operation issues exactly at its scheduled start cycle,
+* every node has a start time, and none starts before cycle 0,
 * its operands' producing operations have finished by then
   (dependence legality),
 * no cycle issues more operations of a class than the unit pool allows
   (resource legality -- the "up to 39 time-multiplexed FMA units" of
-  Sec. IV-D),
+  Sec. IV-D).
 
-while computing real values through the same bit-accurate evaluators as
+Each operation then issues at its start cycle and computes real values
+through the same bit-accurate evaluators as
 :func:`repro.hls.simulate.simulate`.  The result carries the outputs,
 the cycle count, and a per-cycle issue trace (useful for visualizing
 the Fig. 15 schedules).
@@ -19,7 +22,7 @@ the Fig. 15 schedules).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..fma.chain import FmaEngine
@@ -28,11 +31,7 @@ from .operators import OperatorLibrary
 from .schedule import Schedule
 from .simulate import eval_node
 
-__all__ = ["ExecutionResult", "ScheduleViolation", "execute_schedule"]
-
-
-class ScheduleViolation(RuntimeError):
-    """A schedule broke a dependence or resource constraint."""
+__all__ = ["ExecutionResult", "execute_schedule", "format_issue_trace"]
 
 
 @dataclass
@@ -41,14 +40,8 @@ class ExecutionResult:
 
     outputs: dict[str, float]
     cycles: int
-    issues_per_cycle: dict[int, list[int]] = field(default_factory=dict)
-    peak_usage: dict[str, int] = field(default_factory=dict)
-
-    def busiest_cycle(self) -> int:
-        if not self.issues_per_cycle:
-            return 0
-        return max(self.issues_per_cycle,
-                   key=lambda t: len(self.issues_per_cycle[t]))
+    issues_per_cycle: dict[int, list[int]]
+    peak_usage: dict[str, int]
 
 
 def execute_schedule(graph: CDFG, schedule: Schedule,
@@ -58,60 +51,38 @@ def execute_schedule(graph: CDFG, schedule: Schedule,
                      use_batch: bool = True) -> ExecutionResult:
     """Run a scheduled datapath cycle by cycle.
 
-    Raises :class:`ScheduleViolation` if an operation issues before its
-    operands are ready or a resource pool is oversubscribed in a cycle.
+    ``graph`` and ``library`` must be the objects the schedule was
+    built for (``ValueError`` otherwise).  Raises
+    :class:`~repro.analysis.ScheduleCheckError`, with the diagnostics
+    in ``.report``, if the schedule breaks any ``SCH`` rule.
 
     ``use_batch`` swaps recognized engines for their bit-identical fast
     twins from :mod:`repro.batch`, as in :func:`repro.hls.simulate`.
     """
+    from ..analysis.schedule_check import require_clean
+
     if use_batch and engine is not None:
         from ..batch import accelerate_engine
         engine = accelerate_engine(engine)
     if schedule.graph is not graph:
         raise ValueError("schedule does not belong to this graph")
-    missing = set(graph.nodes) - set(schedule.start)
-    if missing:
-        raise ScheduleViolation(f"unscheduled nodes: {sorted(missing)}")
+    if schedule.library is not library:
+        raise ValueError("schedule was built with another library")
+    require_clean(schedule)
 
     by_cycle: dict[int, list[int]] = {}
     for nid, t in schedule.start.items():
         by_cycle.setdefault(t, []).append(nid)
-
-    finish: dict[int, int] = {
-        nid: schedule.start[nid] + library.latency(graph.nodes[nid])
-        for nid in graph.nodes}
-
     values: dict[int, Any] = {}
-    peak: dict[str, int] = {}
-    total_cycles = max(finish.values(), default=0)
     for cycle in sorted(by_cycle):
-        usage: dict[str, int] = {}
         for nid in sorted(by_cycle[cycle]):
-            node = graph.nodes[nid]
-            # dependence legality
-            for op in node.operands:
-                if finish[op] > cycle:
-                    raise ScheduleViolation(
-                        f"node {nid} ({node.kind.value}) issues at cycle "
-                        f"{cycle} but operand {op} finishes at "
-                        f"{finish[op]}")
-            # resource legality (one issue per unit per cycle:
-            # the operators are pipelined)
-            res = library.resource_class(node)
-            if res is not None:
-                usage[res] = usage.get(res, 0) + 1
-                limit = library.limit_for(res)
-                if limit is not None and usage[res] > limit:
-                    raise ScheduleViolation(
-                        f"cycle {cycle}: {usage[res]} issues on "
-                        f"{res!r} exceed the {limit}-unit pool")
-            values[nid] = eval_node(graph, node, values, inputs, engine)
-        for res, n in usage.items():
-            peak[res] = max(peak.get(res, 0), n)
+            values[nid] = eval_node(graph, graph.nodes[nid], values,
+                                    inputs, engine)
 
     outputs = {graph.nodes[nid].name: values[nid].to_float()
                for nid in graph.outputs()}
-    return ExecutionResult(outputs, total_cycles, by_cycle, peak)
+    return ExecutionResult(outputs, schedule.length, by_cycle,
+                           schedule.resource_usage())
 
 
 def format_issue_trace(result: ExecutionResult, graph: CDFG,
@@ -127,6 +98,3 @@ def format_issue_trace(result: ExecutionResult, graph: CDFG,
         if ops:
             lines.append(f"  cycle {t:4d}: " + " ".join(ops))
     return "\n".join(lines)
-
-
-__all__.append("format_issue_trace")

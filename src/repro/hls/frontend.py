@@ -257,5 +257,4 @@ def parse_program(src: str,
                              "assigned")
         p.graph.add_output(p.env[name], name)
     p.graph.prune_dead()
-    p.graph.validate()
     return p.graph

@@ -259,25 +259,13 @@ class CDFG:
             self._order = order
         return list(self._order)
 
-    def validate(self) -> None:
-        """Check structural invariants: acyclicity and port types."""
-        self.topological_order()
-        for n in self.nodes.values():
-            ports = _PORT_TYPES.get(n.kind, ())
-            for op, want in zip(n.operands, ports):
-                got = self.nodes[op].result_type
-                if got is not want:
-                    raise PortTypeError(
-                        f"node {n.id} ({n.kind.value}): port type "
-                        f"mismatch ({got.value} into {want.value})")
-
     def op_count(self, kind: OpKind) -> int:
         return sum(1 for n in self.nodes.values() if n.kind is kind)
 
     def set_operands(self, nid: int, operands) -> None:
         """Replace the operands of ``nid`` (unchecked, like ``rewire``:
         dangling ids, cycles and port-type mismatches are accepted and
-        left to :meth:`validate` and :mod:`repro.analysis`)."""
+        left to :func:`repro.analysis.verify_format_flow`)."""
         node = self.nodes[nid]
         for op in node.operands:
             self._drop_use(op, nid)

@@ -15,20 +15,27 @@ target frequency of 200+ MHz"):
 * NEG / CONST / IO: free (sign flips and wiring).
 
 Resource constraints model the time-multiplexing of Fig. 15 ("up to 39
-time-multiplexed P/FCS-FMA units").
+time-multiplexed P/FCS-FMA units", :data:`FMA_UNIT_LIMIT`).
+:data:`POOL_DESIGNS` is the one map from operator pool to hardware
+unit: :func:`default_library` derives its latencies through it, and the
+NL008 lint re-derives them through it to catch hand-edited specs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..hw.netlist import (cs_to_ieee_converter, divider_design,
-                          ieee_to_cs_converter)
-from ..hw.synthesis import synthesize, synthesize_by_name
+from ..fma.formats import FCS_PARAMS, PCS_PARAMS
+from ..hw.netlist import cs_to_ieee_converter, ieee_to_cs_converter
+from ..hw.synthesis import SynthesisReport, synthesize, synthesize_by_name
 from ..hw.technology import VIRTEX6, FpgaDevice
 from .ir import CDFG, Node, OpKind
 
-__all__ = ["OperatorSpec", "OperatorLibrary", "default_library"]
+__all__ = ["OperatorSpec", "OperatorLibrary", "default_library",
+           "synthesize_pool", "POOL_DESIGNS", "FMA_UNIT_LIMIT"]
+
+#: Sec. IV-D: "up to 39 time-multiplexed P/FCS-FMA units"
+FMA_UNIT_LIMIT = 39
 
 
 #: the operator pool of every kind but FMA, whose pool names the unit
@@ -38,6 +45,20 @@ _POOLS: dict[OpKind, str | None] = {
     OpKind.NEG: None, OpKind.ADD: "add", OpKind.SUB: "add",
     OpKind.MUL: "mul", OpKind.DIV: "div", OpKind.I2C: "i2c",
     OpKind.C2I: "c2i",
+}
+
+#: operator pool -> the hardware unit behind it: a named design of
+#: :mod:`repro.hw.netlist` (synthesized through the memoized
+#: ``synthesize_by_name``) or a converter factory, which is built for
+#: the library's carry-save format
+POOL_DESIGNS = {
+    "mul": "coregen-mul",
+    "div": "divider",
+    "add": "coregen-add",
+    "fma-pcs": "pcs-fma",
+    "fma-fcs": "fcs-fma",
+    "i2c": ieee_to_cs_converter,
+    "c2i": cs_to_ieee_converter,
 }
 
 
@@ -108,6 +129,18 @@ class OperatorLibrary:
         return self.limits.get(resource)
 
 
+def synthesize_pool(pool: str, fma_flavor: str = "pcs",
+                    device: FpgaDevice = VIRTEX6,
+                    target_mhz: float = 200.0) -> SynthesisReport:
+    """Synthesize the unit :data:`POOL_DESIGNS` maps ``pool`` to; the
+    converters take the ``fma_flavor`` operand format."""
+    design = POOL_DESIGNS[pool]
+    if isinstance(design, str):
+        return synthesize_by_name(design, device, target_mhz)
+    params = PCS_PARAMS if fma_flavor == "pcs" else FCS_PARAMS
+    return synthesize(design(device, params), device, target_mhz)
+
+
 def default_library(device: FpgaDevice = VIRTEX6,
                     fma_flavor: str = "pcs",
                     fma_limit: int | None = None,
@@ -115,25 +148,11 @@ def default_library(device: FpgaDevice = VIRTEX6,
     """Build the operator library from the hardware model."""
     if fma_flavor not in ("pcs", "fcs"):
         raise ValueError("fma_flavor must be 'pcs' or 'fcs'")
-    from ..fma.formats import FCS_PARAMS, PCS_PARAMS
-
-    params = PCS_PARAMS if fma_flavor == "pcs" else FCS_PARAMS
-    mul = synthesize_by_name("coregen-mul", device, target_mhz)
-    add = synthesize_by_name("coregen-add", device, target_mhz)
-    fma = synthesize_by_name(f"{fma_flavor}-fma", device, target_mhz)
-    div = synthesize(divider_design(device), device, target_mhz)
-    i2c = synthesize(ieee_to_cs_converter(device, params), device,
-                     target_mhz)
-    c2i = synthesize(cs_to_ieee_converter(device, params), device,
-                     target_mhz)
-    specs = {
-        "mul": OperatorSpec("mul", mul.cycles, mul.luts, mul.dsps),
-        "div": OperatorSpec("div", div.cycles, div.luts, div.dsps),
-        "add": OperatorSpec("add", add.cycles, add.luts, add.dsps),
-        f"fma-{fma_flavor}": OperatorSpec(
-            f"fma-{fma_flavor}", fma.cycles, fma.luts, fma.dsps),
-        "i2c": OperatorSpec("i2c", i2c.cycles, i2c.luts, i2c.dsps),
-        "c2i": OperatorSpec("c2i", c2i.cycles, c2i.luts, c2i.dsps),
-    }
+    specs = {}
+    for pool in POOL_DESIGNS:
+        if pool.startswith("fma") and pool != f"fma-{fma_flavor}":
+            continue
+        r = synthesize_pool(pool, fma_flavor, device, target_mhz)
+        specs[pool] = OperatorSpec(pool, r.cycles, r.luts, r.dsps)
     return OperatorLibrary(specs, fma_flavor=fma_flavor,
                            fma_limit=fma_limit)

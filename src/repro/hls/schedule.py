@@ -42,23 +42,29 @@ class Schedule:
             return 0
         return max(self.finish_times().values())
 
-    def resource_usage(self) -> dict[str, int]:
-        """Peak concurrent occupancy per operator class.
+    def issue_counts(self) -> dict[tuple[str, int], int]:
+        """Issues per (operator pool, cycle).
 
-        An operator occupies its unit for its full latency (the units
-        are pipelined in hardware, but the paper's Fig. 15 experiment
-        *time-multiplexes* a bounded pool of FMA units, so we account
-        occupancy conservatively at issue granularity: one issue per
-        unit per cycle)."""
+        The units are pipelined, so each accepts one new operation per
+        cycle: the count in a cycle is the number of units the pool
+        needs then, the quantity the Fig. 15 FMA pool bounds (SCH004).
+        Start times of nodes outside the graph are skipped (SCH002)."""
         assert self.graph is not None and self.library is not None
-        per_cycle: dict[tuple[str, int], int] = {}
+        nodes = self.graph.nodes
+        counts: dict[tuple[str, int], int] = {}
         for nid, t in self.start.items():
-            res = self.library.resource_class(self.graph.nodes[nid])
-            if res is None:
+            node = nodes.get(nid)
+            if node is None:
                 continue
-            per_cycle[(res, t)] = per_cycle.get((res, t), 0) + 1
+            res = self.library.resource_class(node)
+            if res is not None:
+                counts[(res, t)] = counts.get((res, t), 0) + 1
+        return counts
+
+    def resource_usage(self) -> dict[str, int]:
+        """Peak :meth:`issue_counts` per operator pool."""
         peak: dict[str, int] = {}
-        for (res, _t), n in per_cycle.items():
+        for (res, _t), n in self.issue_counts().items():
             peak[res] = max(peak.get(res, 0), n)
         return peak
 

@@ -74,10 +74,6 @@ class UnitDesign:
     window_wires: int = 0
 
     @property
-    def combinational_ns(self) -> float:
-        return sum(c.delay_ns for c in self.path)
-
-    @property
     def luts(self) -> int:
         return sum(c.luts for c in self.path) + \
             sum(c.luts for c in self.offpath)

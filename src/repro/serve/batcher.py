@@ -151,11 +151,6 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
 
-    def earliest_deadline(self) -> float | None:
-        pending = [e.deadline for q in self._queues.values() for e in q
-                   if e.deadline is not None]
-        return min(pending) if pending else None
-
     def cancel_timers(self) -> None:
         for timer in self._timers.values():
             try:

@@ -38,7 +38,7 @@ from repro.fp import (BINARY32, BINARY64, EXTENDED68, EXTENDED75, FPValue,
                       FpClass, double)
 from repro.fp.ops import as_format, fp_add, fp_fma, fp_mul, fp_neg
 from repro.fp.rounding import RoundingMode
-from repro.guard import GuardConfig, guarding
+from repro.guard import guarding
 from repro.serve.protocol import word_to_fp
 from test_fma_parametrized import SINGLE_PCS, VARIANTS, WIDE_FCS
 
@@ -577,7 +577,7 @@ class TestMultiplierRows:
                           width=width)
         want = (red.sum, red.carry)
         assert k.product(cv, pos, width, mask) == want
-        with guarding(GuardConfig(record_only=True)) as state:
+        with guarding() as state:
             assert k.product(cv, pos, width, mask) == want
         assert state.checks == {"product": 1}
         assert state.mismatches == {}

@@ -8,12 +8,13 @@ models trustworthy as a hardware reference.
 import numpy as np
 import pytest
 
+from repro.analysis import ScheduleCheckError, verify_format_flow
 from repro.cs import CSNumber
 from repro.fma import (CSFloat, FCS_PARAMS, PCS_PARAMS, PcsFmaUnit,
                        cs_to_ieee, ieee_to_cs)
 from repro.fp import BINARY64, FpClass, FPValue, double
-from repro.hls import (OpKind, ScheduleViolation, asap_schedule,
-                       default_library, execute_schedule, parse_program)
+from repro.hls import (OpKind, asap_schedule, default_library,
+                       execute_schedule, parse_program)
 from repro.solvers import InteriorPointSolver, QPProblem
 
 
@@ -92,16 +93,14 @@ class TestHlsRobustness:
         cs = g.add_op(OpKind.I2C, a)
         add = [n for n in g.nodes.values() if n.kind is OpKind.ADD][0]
         g.set_operands(add.id, [cs, add.operands[1]])
-        with pytest.raises(TypeError):
-            g.validate()
+        assert verify_format_flow(g).rule_ids() == {"CS004"}
 
     def test_cyclic_graph_rejected(self):
         g = parse_program("y = a + b;")
         add = [n for n in g.nodes.values() if n.kind is OpKind.ADD][0]
         out = g.outputs()[0]
         g.set_operands(add.id, [add.operands[0], out])
-        with pytest.raises(ValueError):
-            g.validate()
+        assert "CS002" in verify_format_flow(g).rule_ids()
 
     def test_sabotaged_schedule_detected(self):
         lib = default_library()
@@ -112,8 +111,9 @@ class TestHlsRobustness:
         add = [n.id for n in g.nodes.values()
                if n.kind is OpKind.ADD][0]
         sched.start[add] = sched.start[mul]  # issue before operand done
-        with pytest.raises(ScheduleViolation):
+        with pytest.raises(ScheduleCheckError) as exc:
             execute_schedule(g, sched, lib, dict(a=1.0, b=1.0, c=1.0))
+        assert exc.value.report.rule_ids() == {"SCH001"}
 
 
 class TestSolverRobustness:

@@ -31,9 +31,9 @@ from repro.fma.classic import ClassicFmaUnit
 from repro.fma.formats import FCS_PARAMS, PCS_PARAMS
 from repro.fp import BINARY64, FPValue
 from repro.guard import residue as gd
-from repro.guard.residue import (EXACT_MODULI, GuardConfig, GuardMismatch,
-                                 GuardState, guard_active, guarding,
-                                 lza_shadow, residue, zd_shadow)
+from repro.guard.residue import (EXACT_MODULI, GuardMismatch, GuardState,
+                                 guard_active, guarding, lza_shadow,
+                                 residue, zd_shadow)
 from repro.faults.sites import SITES, make_transform, params_for_unit
 from repro.probes import Arm, armed
 from repro.telemetry import collecting
@@ -86,7 +86,6 @@ class TestResidueInvariant:
         with guarding() as state:
             guarded = scalar_fma(unit, a, b, c)
         assert state.total_mismatches == 0
-        assert state.records == []
         assert state.total_checks >= 1      # the shadows actually ran
         assert guarded == reference         # ...without touching the value
 
@@ -183,8 +182,9 @@ class TestPrimitives:
         assert state.total_mismatches == 0
 
     def test_check_product_flags_each_modulus(self):
-        state = GuardState(GuardConfig(record_only=True))
-        state.check_product(3 * 5 + 1, 0, 3, 5, 64, exact=True)  # mod-3 ok
+        state = GuardState()
+        with pytest.raises(GuardMismatch):
+            state.check_product(3 * 5 + 1, 0, 3, 5, 64, exact=True)
         assert state.mismatches == {"product": 1}
 
     @given(v=st.integers(0, (1 << 96) - 1))
@@ -201,16 +201,6 @@ class TestPrimitives:
         from repro.cs.lza import lza_estimate
 
         assert lza_shadow(a, b, 64) == lza_estimate(a, b, 64)
-
-    def test_record_only_collects_instead_of_raising(self):
-        state = GuardState(GuardConfig(record_only=True, max_records=2))
-        for _ in range(4):
-            state.check_equal("norm", 1, 2)
-        assert state.total_checks == 4
-        assert state.mismatches == {"norm": 4}
-        assert len(state.records) == 2          # capped
-        assert state.records[0] == {"stage": "norm",
-                                    "detail": "recompute disagrees"}
 
     def test_mismatch_raises_with_stage(self):
         state = GuardState()

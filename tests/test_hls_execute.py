@@ -1,12 +1,17 @@
 """Tests for the cycle-accurate schedule executor (repro.hls.execute)."""
 
+import random
+
 import pytest
 
-from repro.fma import fcs_engine
-from repro.hls import (ScheduleViolation, asap_schedule,
-                       default_library, execute_schedule,
-                       format_issue_trace, list_schedule, parse_program,
-                       run_fma_insertion, simulate)
+from repro.analysis import ScheduleCheckError
+from repro.fma import fcs_engine, pcs_engine
+from repro.hls import (FMA_UNIT_LIMIT, asap_schedule, default_library,
+                       execute_schedule, format_issue_trace,
+                       list_schedule, parse_program, run_fma_insertion,
+                       simulate)
+from repro.solvers import (BENCHMARK_SIZES, generate_kernel,
+                           trajectory_problem)
 
 SRC = """
 t = a*b + c*d;
@@ -56,6 +61,13 @@ class TestLegalSchedules:
         assert "cycle" in text and "mul" in text
 
 
+def refused_rules(g, sched, lib) -> set[str]:
+    """The SCH rule ids ``execute_schedule`` refuses ``sched`` with."""
+    with pytest.raises(ScheduleCheckError) as exc:
+        execute_schedule(g, sched, lib, INPUTS)
+    return exc.value.report.rule_ids()
+
+
 class TestViolationDetection:
     def test_dependence_violation_detected(self, lib):
         g = parse_program(SRC)
@@ -63,23 +75,26 @@ class TestViolationDetection:
         # sabotage: pull the output's producer to cycle 0
         victim = g.predecessors(g.outputs()[0])[0]
         sched.start[victim] = 0
-        with pytest.raises(ScheduleViolation, match="finishes at"):
-            execute_schedule(g, sched, lib, INPUTS)
+        assert refused_rules(g, sched, lib) == {"SCH001"}
 
     def test_resource_violation_detected(self):
         lib = default_library()
         lib.limits["mul"] = 1
         g = parse_program("p = a*b;\nq = c*d;\n", outputs=["p", "q"])
         sched = asap_schedule(g, lib)  # issues both muls at cycle 0
-        with pytest.raises(ScheduleViolation, match="exceed"):
-            execute_schedule(g, sched, lib, INPUTS)
+        assert refused_rules(g, sched, lib) == {"SCH004"}
 
     def test_unscheduled_node_detected(self, lib):
         g = parse_program(SRC)
         sched = asap_schedule(g, lib)
         sched.start.pop(g.outputs()[0])
-        with pytest.raises(ScheduleViolation, match="unscheduled"):
-            execute_schedule(g, sched, lib, INPUTS)
+        assert refused_rules(g, sched, lib) == {"SCH002"}
+
+    def test_negative_start_detected(self, lib):
+        g = parse_program(SRC)
+        sched = asap_schedule(g, lib)
+        sched.start[g.inputs()[0]] = -2     # still ready before its reader
+        assert refused_rules(g, sched, lib) == {"SCH003"}
 
     def test_foreign_schedule_rejected(self, lib):
         g = parse_program(SRC)
@@ -87,6 +102,12 @@ class TestViolationDetection:
         sched = asap_schedule(other, lib)
         with pytest.raises(ValueError):
             execute_schedule(g, sched, lib, INPUTS)
+
+    def test_foreign_library_rejected(self, lib):
+        g = parse_program(SRC)
+        sched = asap_schedule(g, lib)
+        with pytest.raises(ValueError, match="library"):
+            execute_schedule(g, sched, default_library(), INPUTS)
 
 
 class TestListSchedulerLegality:
@@ -112,3 +133,33 @@ class TestListSchedulerLegality:
         sched = list_schedule(g, lib)
         res = execute_schedule(g, sched, lib, dict(a=2.0, b=3.0, c=1.0))
         assert res.outputs["y"] == 7.0
+
+
+class TestFig15Schedules:
+    """Every length Fig. 15 reports is the cycle count of a schedule
+    that runs: the six post-pass list schedules, executed on the fast
+    engines, compute what ``simulate`` computes."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        from repro.experiments import fig15
+
+        return {r.solver: r for r in fig15.run()}
+
+    @pytest.mark.parametrize("flavor,engine", [("pcs", pcs_engine),
+                                               ("fcs", fcs_engine)])
+    @pytest.mark.parametrize("size", BENCHMARK_SIZES, ids=lambda s: s[0])
+    def test_executes_in_the_reported_cycles(self, rows, size, flavor,
+                                             engine):
+        name, horizon, obstacles = size
+        kernel = generate_kernel(trajectory_problem(horizon, obstacles))
+        g = parse_program(kernel.source, outputs=kernel.output_names)
+        lib = default_library(fma_flavor=flavor, fma_limit=FMA_UNIT_LIMIT)
+        run_fma_insertion(g, lib)
+        sched = list_schedule(g, lib)
+        rng = random.Random(name)
+        inputs = {g.nodes[nid].name: rng.uniform(0.5, 2.0)
+                  for nid in g.inputs()}
+        res = execute_schedule(g, sched, lib, inputs, engine=engine())
+        assert res.cycles == getattr(rows[name], f"{flavor}_cycles")
+        assert res.outputs == simulate(g, inputs, engine=engine())

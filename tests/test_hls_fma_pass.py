@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+from repro.analysis import verify_format_flow
 from repro.fma import fcs_engine, pcs_engine
 from repro.hls import (OpKind, asap_schedule, default_library,
                        list_schedule, parse_program, run_fma_insertion,
@@ -157,7 +158,7 @@ class TestGraphHygiene:
     def test_graph_validates_after_pass(self):
         g = fresh()
         run_fma_insertion(g, default_library(fma_flavor="fcs"))
-        g.validate()  # raises on type/shape violations
+        assert verify_format_flow(g).clean
 
     def test_report_fields(self):
         g = fresh()

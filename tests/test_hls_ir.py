@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import verify_format_flow
 from repro.hls import CDFG, OpKind, PortTypeError, ValueType
 
 
@@ -121,14 +122,14 @@ class TestStructure:
 
     def test_operands_change_only_through_the_graph(self):
         g, (a, b, c, m, s) = small_graph()
-        g.validate()                    # caches the order
+        g.topological_order()           # caches the order
         with pytest.raises(AttributeError):
             g.nodes[m].operands = (s, b)
         with pytest.raises(TypeError):
             g.nodes[m].operands[0] = s
         assert g.nodes[m].operands == (a, b)
         assert m not in g.successors(s)
-        g.validate()
+        assert verify_format_flow(g).clean
 
     def test_consumers_with_ports(self):
         g, (a, b, c, m, s) = small_graph()
@@ -182,7 +183,7 @@ class TestCopy:
         neg = g.add_op(OpKind.NEG, a)
         g.set_operands(m, [a, b])       # re-lists m after neg under a
         assert g._uses[a] == [neg, m]
-        g.validate()                    # caches the order
+        g.topological_order()           # caches the order
         dup = g.copy()
         assert _state(dup) == _state(g)
         assert dup._order is not None
@@ -190,7 +191,7 @@ class TestCopy:
 
     def test_copy_is_independent(self):
         g, (a, b, c, m, s) = small_graph()
-        g.validate()
+        g.topological_order()
         before = _state(g)
         dup = g.copy()
         dup.set_operands(s, [c, m])

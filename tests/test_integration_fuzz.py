@@ -13,6 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import verify_format_flow
 from repro.fma import fcs_engine, pcs_engine
 from repro.hls import (OpKind, default_library, parse_program,
                        run_fma_insertion, simulate)
@@ -57,7 +58,7 @@ class TestFuzzedPrograms:
         before = simulate(g, inputs)
         lib = default_library(fma_flavor=flavor)
         rep = run_fma_insertion(g, lib)
-        g.validate()
+        assert verify_format_flow(g).clean
         after = simulate(g, inputs, engine=engine_factory())
         for k, ref in before.items():
             assert after[k] == pytest.approx(ref, rel=1e-11, abs=1e-11), \
